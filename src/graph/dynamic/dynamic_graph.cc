@@ -198,18 +198,54 @@ struct QuiescedShim {
 
 }  // namespace
 
+void DynamicGraph::PrepareGroup(std::span<const EdgeUpdate> group,
+                                GroupCtx* ctx) {
+  TUFAST_DCHECK(!group.empty());
+  ctx->u = group.front().src;
+  TUFAST_DCHECK(ctx->u < NumVertices());
+  ctx->updates = group;
+  size_t deletes = 0;
+  ctx->targets.reserve(group.size());
+  for (const EdgeUpdate& up : group) {
+    TUFAST_DCHECK(up.src == ctx->u);
+    TUFAST_DCHECK(up.dst < capacity_);
+    if (up.op == EdgeUpdate::Op::kInsert) ++ctx->inserts;
+    if (up.op == EdgeUpdate::Op::kDelete) ++deletes;
+    ctx->targets.push_back(Target{.dst = up.dst});
+    ctx->dst_bits |= uint64_t{1} << (up.dst & 63);
+  }
+  std::sort(ctx->targets.begin(), ctx->targets.end(),
+            [](const Target& a, const Target& b) { return a.dst < b.dst; });
+  ctx->targets.erase(std::unique(ctx->targets.begin(), ctx->targets.end(),
+                                 [](const Target& a, const Target& b) {
+                                   return a.dst == b.dst;
+                                 }),
+                     ctx->targets.end());
+  if (ctx->inserts > 0) {
+    GrabSpares((ctx->inserts + kSlotsPerBlock - 1) / kSlotsPerBlock,
+               &ctx->spares);
+  }
+  // Free-pool bound: the walk collects at most `inserts` dead slots,
+  // every delete frees at most one, and every spare adds a block's worth.
+  ctx->free.reserve(ctx->inserts + deletes +
+                    kSlotsPerBlock * ctx->spares.size());
+}
+
+void DynamicGraph::FinishGroup(GroupCtx& ctx, ApplyResult* result) {
+  ReturnSpares(std::span<const uint64_t>(ctx.spares).subspan(ctx.spares_used));
+  result->Merge(ctx.local);
+}
+
 void DynamicGraph::ApplyQuiescedUpdate(const EdgeUpdate& up,
                                        ApplyResult* res) {
   TUFAST_CHECK(up.src < NumVertices());
   TUFAST_CHECK(up.dst < capacity_);
-  std::vector<uint64_t> spares;
-  if (up.op == EdgeUpdate::Op::kInsert) GrabSpares(1, &spares);
-  size_t spares_used = 0;
-  ApplyResult local;
+  GroupCtx ctx;
+  PrepareGroup({&up, 1}, &ctx);
   QuiescedShim shim;
-  ApplyOneInTxn(shim, up.src, up, spares, &spares_used, &local);
-  ReturnSpares(std::span<const uint64_t>(spares).subspan(spares_used));
-  if (res != nullptr) res->Merge(local);
+  ApplyGroupInTxn(shim, ctx);
+  ApplyResult local;
+  FinishGroup(ctx, res != nullptr ? res : &local);
 }
 
 void DynamicGraph::EnsureVerticesQuiesced(VertexId n) {

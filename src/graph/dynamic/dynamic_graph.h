@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -125,7 +126,7 @@ class DynamicGraph {
                   uint32_t weight = 0) {
     const EdgeUpdate up = EdgeUpdate::Insert(u, v, weight);
     ApplyResult result;
-    ApplyGroup(tm, worker, u, {&up, 1}, &result);
+    ApplyGroup(tm, worker, {&up, 1}, &result);
     return result.inserted == 1;
   }
 
@@ -134,7 +135,7 @@ class DynamicGraph {
   bool DeleteEdge(Scheduler& tm, int worker, VertexId u, VertexId v) {
     const EdgeUpdate up = EdgeUpdate::Delete(u, v);
     ApplyResult result;
-    ApplyGroup(tm, worker, u, {&up, 1}, &result);
+    ApplyGroup(tm, worker, {&up, 1}, &result);
     return result.removed == 1;
   }
 
@@ -145,7 +146,7 @@ class DynamicGraph {
                     uint32_t weight) {
     const EdgeUpdate up = EdgeUpdate::Reweight(u, v, weight);
     ApplyResult result;
-    ApplyGroup(tm, worker, u, {&up, 1}, &result);
+    ApplyGroup(tm, worker, {&up, 1}, &result);
     return result.updated == 1;
   }
 
@@ -165,72 +166,45 @@ class DynamicGraph {
   }
 
   /// Applies a batch of mixed updates, grouping them by source vertex so
-  /// each group is ONE transaction (amortizing Run() overhead and lock
-  /// traffic across a vertex's updates). Groups preserve the relative
-  /// order of a vertex's updates; cross-vertex order is not preserved
-  /// (each group commits independently). Groups run through the batch
-  /// executor (tm/batch_executor.h), so on TuFast several small groups
-  /// fuse into one H-mode region; per-group private state (spares,
-  /// tallies) keeps each group independently idempotent as the fused
-  /// contract requires.
+  /// each group is ONE transaction that walks the vertex's chain once for
+  /// all of its updates (amortizing Run() overhead, lock traffic and the
+  /// hub-chain scan across a vertex's updates). Groups preserve the
+  /// relative order of a vertex's updates and produce exactly what
+  /// applying them one at a time would; cross-vertex order is not
+  /// preserved (each group commits independently). Groups run through
+  /// the batch executor (tm/batch_executor.h), so on TuFast several small
+  /// groups fuse into one H-mode region; per-group private state (spares,
+  /// walk state, tallies) keeps each group independently idempotent as
+  /// the fused contract requires.
   template <typename Scheduler>
   ApplyResult ApplyBatch(Scheduler& tm, int worker,
                          std::span<const EdgeUpdate> updates) {
     ApplyResult result;
     if (updates.empty()) return result;
-    // Stable order-by-source: indices, not copies, to keep per-vertex
-    // update order intact.
-    std::vector<uint32_t> order(updates.size());
-    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return updates[a].src < updates[b].src;
+    // Stable order-by-source keeps each vertex's update order intact.
+    std::vector<EdgeUpdate> sorted(updates.begin(), updates.end());
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const EdgeUpdate& a, const EdgeUpdate& b) {
+                       return a.src < b.src;
                      });
-    struct GroupCtx {
-      VertexId u = 0;
-      std::vector<EdgeUpdate> updates;
-      std::vector<uint64_t> spares;
-      size_t spares_used = 0;
-      ApplyResult local;
-    };
     std::vector<GroupCtx> groups;
-    size_t i = 0;
-    while (i < order.size()) {
-      GroupCtx& ctx = groups.emplace_back();
-      ctx.u = updates[order[i]].src;
-      size_t inserts = 0;
-      for (; i < order.size() && updates[order[i]].src == ctx.u; ++i) {
-        ctx.updates.push_back(updates[order[i]]);
-        if (ctx.updates.back().op == EdgeUpdate::Op::kInsert) ++inserts;
-      }
-      // Spares are pre-allocated outside the transactions (allocation
-      // inside a hardware region would abort real HTM).
-      if (inserts > 0) {
-        GrabSpares((inserts + kSlotsPerBlock - 1) / kSlotsPerBlock,
-                   &ctx.spares);
-      }
+    groups.reserve(sorted.size());
+    for (size_t i = 0; i < sorted.size();) {
+      size_t end = i + 1;
+      while (end < sorted.size() && sorted[end].src == sorted[i].src) ++end;
+      PrepareGroup(std::span<const EdgeUpdate>(sorted).subspan(i, end - i),
+                   &groups.emplace_back());
+      i = end;
     }
     RunBatch(
         tm, worker, 0, groups.size(),
         [&](uint64_t g) {
           return SizeHintFor(groups[g].u) + 2 * groups[g].updates.size();
         },
-        [&](auto& txn, uint64_t g) {
-          GroupCtx& ctx = groups[g];
-          ctx.local = ApplyResult{};  // Reset private state: re-executes.
-          ctx.spares_used = 0;
-          for (const EdgeUpdate& up : ctx.updates) {
-            ApplyOneInTxn(txn, ctx.u, up, ctx.spares, &ctx.spares_used,
-                          &ctx.local);
-          }
-        });
+        [&](auto& txn, uint64_t g) { ApplyGroupInTxn(txn, groups[g]); });
     // RunBatch only returns after every group committed (no user aborts
     // here), so the private tallies reflect the committed executions.
-    for (GroupCtx& ctx : groups) {
-      ReturnSpares(
-          std::span<const uint64_t>(ctx.spares).subspan(ctx.spares_used));
-      result.Merge(ctx.local);
-    }
+    for (GroupCtx& ctx : groups) FinishGroup(ctx, &result);
     return result;
   }
 
@@ -471,131 +445,193 @@ class DynamicGraph {
   void CollectLiveQuiesced(
       VertexId u, std::vector<std::pair<VertexId, uint32_t>>* out) const;
 
-  /// One source-vertex group as a single transaction. Spare blocks for
-  /// the worst-case insert count are pre-allocated outside the
-  /// transaction (allocation inside a hardware transaction would abort
-  /// real HTM); the body consumes them in order and is idempotent across
-  /// re-executions, and unconsumed spares return to the free list still
-  /// zeroed because every scheduler buffers writes until commit.
-  template <typename Scheduler>
-  void ApplyGroup(Scheduler& tm, int worker, VertexId u,
-                  std::span<const EdgeUpdate> group, ApplyResult* result) {
-    TUFAST_DCHECK(u < NumVertices());
-    size_t inserts = 0;
-    for (const EdgeUpdate& up : group) {
-      TUFAST_DCHECK(up.src == u);
-      TUFAST_DCHECK(up.dst < capacity_);
-      if (up.op == EdgeUpdate::Op::kInsert) ++inserts;
-    }
-    std::vector<uint64_t> spares;
-    if (inserts > 0) {
-      GrabSpares((inserts + kSlotsPerBlock - 1) / kSlotsPerBlock, &spares);
-    }
+  /// Walk state of one group's distinct destination: the live slot
+  /// holding it (nullptr = absent) with its word and chain position.
+  struct Target {
+    VertexId dst = 0;
+    TmWord* slot = nullptr;
+    TmWord word = 0;
+    uint64_t pos = 0;
+  };
+  /// A dead (empty or tombstoned) slot an insert may fill, keyed by its
+  /// chain position: inserts always take the earliest one, as a
+  /// head-to-tail scan would.
+  struct FreeSlot {
+    uint64_t pos;
+    TmWord* slot;
+    bool operator>(const FreeSlot& o) const { return pos > o.pos; }
+  };
 
-    ApplyResult local;
+  /// One source-vertex group's private state. Everything is sized by the
+  /// group's update count k (never by degree) and allocated by
+  /// PrepareGroup before the transaction: allocation inside a hardware
+  /// region would abort real HTM. ApplyGroupInTxn resets the per-attempt
+  /// parts, so bodies are idempotent across re-executions; unconsumed
+  /// spares return to the free list still zeroed because every scheduler
+  /// buffers writes until commit.
+  struct GroupCtx {
+    VertexId u = 0;
+    std::span<const EdgeUpdate> updates;
+    std::vector<Target> targets;      // distinct dsts, sorted by dst
+    uint64_t dst_bits = 0;            // bit (dst & 63) set per target
+    std::vector<FreeSlot> free;       // min-heap on pos; capacity reserved
+    size_t inserts = 0;
+    std::vector<uint64_t> spares;
     size_t spares_used = 0;
-    const uint64_t hint = SizeHintFor(u) + 2 * group.size();
-    tm.Run(worker, hint, [&](auto& txn) {
-      local = ApplyResult{};  // Reset private state: bodies re-execute.
-      spares_used = 0;
-      for (const EdgeUpdate& up : group) {
-        ApplyOneInTxn(txn, u, up, spares, &spares_used, &local);
-      }
-    });
+    ApplyResult local;
+  };
+
+  /// Fills `ctx` for `group` (every update has the same src): distinct
+  /// targets, free-pool capacity and the worst-case spare blocks.
+  void PrepareGroup(std::span<const EdgeUpdate> group, GroupCtx* ctx);
+  /// Returns unconsumed spares and merges the committed tallies.
+  void FinishGroup(GroupCtx& ctx, ApplyResult* result);
+
+  /// One source-vertex group as a single transaction.
+  template <typename Scheduler>
+  void ApplyGroup(Scheduler& tm, int worker, std::span<const EdgeUpdate> group,
+                  ApplyResult* result) {
+    GroupCtx ctx;
+    PrepareGroup(group, &ctx);
+    tm.Run(worker, SizeHintFor(ctx.u) + 2 * group.size(),
+           [&](auto& txn) { ApplyGroupInTxn(txn, ctx); });
     // Run() only returns after a commit (no user aborts here), so the
     // private tallies reflect the committed execution.
-    ReturnSpares(std::span<const uint64_t>(spares).subspan(spares_used));
-    result->Merge(local);
+    FinishGroup(ctx, result);
   }
 
+  /// Applies every update of `g` in one walk of u's chain; the result is
+  /// exactly that of applying them one at a time, in order. The walk
+  /// reads the chain head to tail, recording each target's live slot and
+  /// the first `g.inserts` dead slots, and stops as soon as every target
+  /// is found (a lone delete or reweight reads up to its slot, an insert
+  /// of an absent edge reads the whole chain, as a per-update scan
+  /// would). The updates then replay against that state: deletes return
+  /// their slot to the free pool, inserts take the earliest free slot or
+  /// append a spare block at the tail. Every read declares write intent
+  /// so L mode takes the exclusive lock immediately (no shared->exclusive
+  /// upgrade can deadlock).
   template <typename Txn>
-  void ApplyOneInTxn(Txn& txn, VertexId u, const EdgeUpdate& up,
-                     std::span<const uint64_t> spares, size_t* spares_used,
-                     ApplyResult* res) {
-    // Durable builds: stage the logical mutation for the WAL. Staging is
+  void ApplyGroupInTxn(Txn& txn, GroupCtx& g) {
+    // Durable builds: stage the logical mutations for the WAL. Staging is
     // idempotent across re-executions — aborted attempts clear the stage
     // (Reset / on_begin hook) before the body re-runs, so exactly the
     // committed execution's notes publish. Recovery's replay shim has no
     // WalNote, so replayed updates are not re-logged.
-    if constexpr (requires { txn.WalNote(up); }) txn.WalNote(up);
-    // Full-chain scan: the first matching slot decides presence; the
-    // first dead slot is remembered for tombstone reuse; `link_addr`
-    // ends at the tail's link word for appending a spare block. All
-    // reads declare write intent so L mode takes the exclusive lock
-    // immediately (no shared->exclusive upgrade can deadlock).
+    if constexpr (requires { txn.WalNote(g.updates[0]); }) {
+      for (const EdgeUpdate& up : g.updates) txn.WalNote(up);
+    }
+    const VertexId u = g.u;
+    g.local = ApplyResult{};
+    g.spares_used = 0;
+    g.free.clear();
+    for (Target& t : g.targets) t.slot = nullptr;
+
+    size_t unfound = g.targets.size();
     TmWord* link_addr = &heads_[u];
     TmWord link = txn.ReadForUpdate(u, link_addr);
-    TmWord* found_slot = nullptr;
-    TmWord found_word = 0;
-    TmWord* free_slot = nullptr;
-    uint64_t steps = 0;
+    uint64_t blocks = 0;
     const uint64_t bound = TraversalBound();
-    while (link != 0 && found_slot == nullptr && steps++ < bound) {
+    while (link != 0 && unfound != 0 && blocks < bound) {
       Block* b = BlockAt(link - 1);
       if (b == nullptr) break;  // Doomed-read garbage; commit will fail.
-      for (int s = 0; s < kSlotsPerBlock; ++s) {
+      const uint64_t base = blocks++ * kSlotsPerBlock;
+      for (int s = 0; s < kSlotsPerBlock && unfound != 0; ++s) {
         const TmWord sw = txn.ReadForUpdate(u, &b->slots[s]);
         if (SlotLive(sw)) {
-          if (SlotTarget(sw) == up.dst) {
-            found_slot = &b->slots[s];
-            found_word = sw;
-            break;
+          Target* t = FindTarget(g, SlotTarget(sw));
+          if (t != nullptr && t->slot == nullptr) {
+            *t = Target{t->dst, &b->slots[s], sw, base + s};
+            --unfound;
           }
-        } else if (free_slot == nullptr) {
-          free_slot = &b->slots[s];
+        } else if (g.free.size() < g.inserts) {
+          // Chain order is ascending, so appending keeps the heap valid.
+          g.free.push_back(FreeSlot{base + s, &b->slots[s]});
         }
       }
-      if (found_slot != nullptr) break;
+      if (unfound == 0) break;
       link_addr = &b->next;
       link = txn.ReadForUpdate(u, link_addr);
     }
 
-    switch (up.op) {
-      case EdgeUpdate::Op::kInsert: {
-        if (found_slot != nullptr) {  // Upsert.
-          if (weighted_ && SlotWeight(found_word) != up.weight) {
-            txn.Write(u, found_slot, EncodeSlot(up.dst, up.weight));
+    for (const EdgeUpdate& up : g.updates) {
+      Target& t = *FindTarget(g, up.dst);
+      switch (up.op) {
+        case EdgeUpdate::Op::kInsert:
+          if (t.slot != nullptr) {  // Upsert.
+            SetWeight(txn, u, t, up.weight);
+            ++g.local.updated;
+            break;
           }
-          ++res->updated;
-          return;
-        }
-        const TmWord word = EncodeSlot(up.dst, weighted_ ? up.weight : 0);
-        if (free_slot != nullptr) {
-          txn.Write(u, free_slot, word);
-        } else {
-          TUFAST_CHECK(*spares_used < spares.size());
-          const uint64_t idx = spares[(*spares_used)++];
-          Block* nb = BlockAt(idx);
-          txn.Write(u, &nb->slots[0], word);
-          txn.Write(u, link_addr, idx + 1);  // Publish: 0 -> index + 1.
-        }
-        const TmWord d = txn.ReadForUpdate(u, &degree_[u]);
-        txn.Write(u, &degree_[u], d + 1);
-        ++res->inserted;
-        return;
+          if (g.free.empty()) {
+            // No dead slot anywhere, so the walk reached the tail: an
+            // early stop means every destination was live, and an insert
+            // can then only follow a delete of its own destination,
+            // which freed a slot. Append a spare at the tail.
+            TUFAST_CHECK(g.spares_used < g.spares.size());
+            const uint64_t idx = g.spares[g.spares_used++];
+            Block* nb = BlockAt(idx);
+            txn.Write(u, link_addr, idx + 1);  // Publish: 0 -> index + 1.
+            link_addr = &nb->next;
+            const uint64_t base = blocks++ * kSlotsPerBlock;
+            for (int s = 0; s < kSlotsPerBlock; ++s) {
+              PushFree(g, FreeSlot{base + s, &nb->slots[s]});
+            }
+          }
+          std::pop_heap(g.free.begin(), g.free.end(), std::greater<>());
+          t.slot = g.free.back().slot;
+          t.pos = g.free.back().pos;
+          g.free.pop_back();
+          t.word = EncodeSlot(up.dst, weighted_ ? up.weight : 0);
+          txn.Write(u, t.slot, t.word);
+          ++g.local.inserted;
+          break;
+        case EdgeUpdate::Op::kDelete:
+          if (t.slot == nullptr) {
+            ++g.local.missing;
+            break;
+          }
+          txn.Write(u, t.slot, kTombstoneSlot);
+          PushFree(g, FreeSlot{t.pos, t.slot});
+          t.slot = nullptr;
+          ++g.local.removed;
+          break;
+        case EdgeUpdate::Op::kUpdateWeight:
+          if (t.slot == nullptr) {
+            ++g.local.missing;
+            break;
+          }
+          SetWeight(txn, u, t, up.weight);
+          ++g.local.updated;
+          break;
       }
-      case EdgeUpdate::Op::kDelete: {
-        if (found_slot == nullptr) {
-          ++res->missing;
-          return;
-        }
-        txn.Write(u, found_slot, kTombstoneSlot);
-        const TmWord d = txn.ReadForUpdate(u, &degree_[u]);
-        txn.Write(u, &degree_[u], d - 1);
-        ++res->removed;
-        return;
-      }
-      case EdgeUpdate::Op::kUpdateWeight: {
-        if (found_slot == nullptr) {
-          ++res->missing;
-          return;
-        }
-        if (weighted_ && SlotWeight(found_word) != up.weight) {
-          txn.Write(u, found_slot, EncodeSlot(up.dst, up.weight));
-        }
-        ++res->updated;
-        return;
-      }
+    }
+    if (g.local.inserted != 0 || g.local.removed != 0) {
+      const TmWord d = txn.ReadForUpdate(u, &degree_[u]);
+      txn.Write(u, &degree_[u], d + g.local.inserted - g.local.removed);
+    }
+  }
+
+  static Target* FindTarget(GroupCtx& g, VertexId dst) {
+    // The bit filter spares most slots of a hub chain the search.
+    if (((g.dst_bits >> (dst & 63)) & 1) == 0) return nullptr;
+    const auto it = std::lower_bound(
+        g.targets.begin(), g.targets.end(), dst,
+        [](const Target& t, VertexId d) { return t.dst < d; });
+    return it != g.targets.end() && it->dst == dst ? &*it : nullptr;
+  }
+
+  static void PushFree(GroupCtx& g, FreeSlot f) {
+    TUFAST_DCHECK(g.free.size() < g.free.capacity());  // Never allocates.
+    g.free.push_back(f);
+    std::push_heap(g.free.begin(), g.free.end(), std::greater<>());
+  }
+
+  template <typename Txn>
+  void SetWeight(Txn& txn, VertexId u, Target& t, uint32_t weight) {
+    if (weighted_ && SlotWeight(t.word) != weight) {
+      t.word = EncodeSlot(t.dst, weight);
+      txn.Write(u, t.slot, t.word);
     }
   }
 

@@ -47,7 +47,11 @@ inline const char* OpName(Op op) {
 /// request queue. `arrival_ns` is the generator's *scheduled* arrival
 /// time on the open-loop clock — latency is measured from it, not from
 /// enqueue, so queue backlog shows up as latency instead of being
-/// silently absorbed (coordinated omission).
+/// silently absorbed (coordinated omission). `enqueue_ns` is stamped by
+/// the engine each time the request enters the run queue (first
+/// admission or re-admission from the defer queue); the admission
+/// controller trips on the run-queue wait measured from it, which
+/// excludes time spent parked.
 struct Request {
   Tenant tenant = Tenant::kInteractive;
   Op op = Op::kPointRead;
@@ -55,6 +59,7 @@ struct Request {
   uint32_t key = 0;       // Zipf-drawn vertex id
   uint64_t seq = 0;       // generator sequence number (dedup / rng stream)
   uint64_t arrival_ns = 0;
+  uint64_t enqueue_ns = 0;
 };
 
 static_assert(sizeof(Request) <= 32, "Request should stay queue-friendly");

@@ -50,9 +50,12 @@ using SchedFailpoints = typename SchedFailpointsOf<S>::type;
 /// (Request::arrival_ns on the engine's epoch clock) to completion, so
 /// queue backlog and generator lag surface as latency rather than being
 /// absorbed (no coordinated omission). Queue delay — arrival to
-/// execution start — feeds three sinks: the scheduler's per-worker stats
-/// (NoteQueueDelay, satellite plumbing), the admission controller's trip
-/// signal, and the per-engine max watermark.
+/// execution start — feeds the scheduler's per-worker stats
+/// (NoteQueueDelay) and the per-engine max watermark. The admission
+/// controller's trip signal is the run-queue wait instead — run-queue
+/// entry (Request::enqueue_ns) to execution start — so a re-admitted
+/// request does not report its parked time and re-trip the controller
+/// that parked it.
 ///
 /// Conservation: every Offer() ends in exactly one of admitted / shed /
 /// deferred, and Drain() executes everything admitted, so after Drain():
@@ -111,10 +114,10 @@ class ServeEngine {
     if constexpr (Failpoints::kEnabled) {
       pushed = Failpoints::Hit(FailSite::kServeQueueFull, 0) ==
                        FailAction::kNone
-                   ? queue_.TryPush(r)
+                   ? PushRun(r)
                    : false;
     } else {
-      pushed = queue_.TryPush(r);
+      pushed = PushRun(r);
     }
     if (!pushed) {
       // Hard queue-full back-pressure. Bulk gets a deferral chance;
@@ -136,7 +139,7 @@ class ServeEngine {
     int moved = 0;
     Request r;
     while (moved < budget && defer_.TryPop(&r)) {
-      if (!queue_.TryPush(r)) {
+      if (!PushRun(r)) {
         // Run queue full again: put it back (defer is generator-private,
         // so the slot we just freed is still free) and stop this round.
         const bool back = defer_.TryPush(r);
@@ -195,6 +198,13 @@ class ServeEngine {
  private:
   static int Idx(Tenant t) { return static_cast<int>(t); }
 
+  /// Enters `r` into the run queue, stamping the entry time the
+  /// admission controller's run-queue wait is measured from.
+  bool PushRun(Request r) {
+    r.enqueue_ns = NowNs();
+    return queue_.TryPush(r);
+  }
+
   Disposition Park(const Request& r) {
     bool parked;
     if constexpr (Failpoints::kEnabled) {
@@ -236,7 +246,8 @@ class ServeEngine {
     const uint64_t qdelay =
         start > r.arrival_ns ? start - r.arrival_ns : 0;
     RecordQueueDelay(worker_id, qdelay);
-    admission_.NoteQueueDelay(qdelay);
+    admission_.NoteQueueDelay(start > r.enqueue_ns ? start - r.enqueue_ns
+                                                   : 0);
 
     switch (r.op) {
       case Op::kPointRead: {

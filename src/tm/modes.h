@@ -138,6 +138,7 @@ class OTxn {
   void Reset(uint32_t period) {
     period_ = period;
     segment_ops_ = 0;
+    subscribed_ = kInvalidVertex;
     ops_ = 0;
     reads_.clear();
     writes_.clear();
@@ -160,9 +161,15 @@ class OTxn {
       }
     }
     MaybeSegmentBoundary();
-    if (TUFAST_UNLIKELY(
-            !Table::SharedCompatible(htx_.Load(locks_.WordAddr(v))))) {
-      htx_.template ExplicitAbort<kAbortCodeLockBusy>();
+    // One subscription per vertex per segment: the lock line stays in
+    // this segment's read set, so a later acquisition dooms the segment
+    // (NotifyNonTxWrite) and re-loading the word would learn nothing.
+    if (v != subscribed_) {
+      if (TUFAST_UNLIKELY(
+              !Table::SharedCompatible(htx_.Load(locks_.WordAddr(v))))) {
+        htx_.template ExplicitAbort<kAbortCodeLockBusy>();
+      }
+      subscribed_ = v;
     }
     const TmWord value = htx_.Load(addr);
     reads_.push_back(ReadEntry{addr, value, v});
@@ -270,6 +277,7 @@ class OTxn {
   void MaybeSegmentBoundary() {
     if (++segment_ops_ >= period_) {
       segment_ops_ = 0;
+      subscribed_ = kInvalidVertex;  // Fresh segment, empty read set.
       htx_.SegmentBoundary();
     }
   }
@@ -296,6 +304,7 @@ class OTxn {
   WalRecorder* wal_ = nullptr;
   uint32_t period_ = 1000;
   uint32_t segment_ops_ = 0;
+  VertexId subscribed_ = kInvalidVertex;  // Lock word read this segment.
   uint64_t ops_ = 0;
   std::vector<ReadEntry> reads_;
   std::vector<WriteEntry> writes_;

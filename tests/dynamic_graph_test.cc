@@ -1,10 +1,15 @@
 // DynamicGraph functional coverage: transactional mutation semantics,
 // tombstone/arena behavior, CSR round-trips, degree-driven size-hint
-// routing, and the incremental WCC / PageRank drivers cross-checked
+// routing, the one-walk group apply checked against one-at-a-time
+// application, and the incremental WCC / PageRank drivers cross-checked
 // against from-scratch runs on frozen snapshots.
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +20,8 @@
 #include "algorithms/reference.h"
 #include "algorithms/wcc.h"
 #include "common/rng.h"
+#include "durability/recovery.h"
+#include "durability/wal.h"
 #include "graph/builder.h"
 #include "graph/dynamic/dynamic_graph.h"
 #include "graph/dynamic/incremental.h"
@@ -22,6 +29,7 @@
 #include "htm/emulated_htm.h"
 #include "runtime/thread_pool.h"
 #include "testing/dynamic_invariants.h"
+#include "tm/scheduler_2pl.h"
 #include "tm/tufast.h"
 
 namespace tufast {
@@ -280,6 +288,236 @@ TEST(DynamicGraphTest, InvariantSuitePassesWithoutFaults) {
   EmulatedHtm htm;
   TuFast tm(htm, cfg.Capacity());
   EXPECT_EQ(RunDynamicInvariantSuite(tm, cfg), std::nullopt);
+}
+
+// ---------------------------------------------------------------------------
+// Group walk: ApplyBatch applies each source-vertex group in one walk of
+// the vertex's chain. It must equal applying the group's updates one at
+// a time: a twin graph fed the same updates through ApplyQuiescedUpdate
+// and an independent edge-map model are the references.
+
+constexpr VertexId kWalkVertices = 160;
+constexpr VertexId kHubs = 3;
+
+/// Hub 0 starts empty, hub 1 at degree 24 and hub 2 at degree 90 — with
+/// the DegreeSizeHint thresholds (16 / 64) they route to H, O and L.
+Graph HubBase() {
+  GraphBuilder builder(kWalkVertices);
+  for (VertexId v = 0; v < 24; ++v) builder.AddEdge(1, v + 40, v + 1);
+  for (VertexId v = 0; v < 90; ++v) builder.AddEdge(2, v + 40, v + 1);
+  return builder.Build({.remove_self_loops = false,
+                        .remove_duplicate_edges = false,
+                        .sort_neighbors = true});
+}
+
+/// Scripted first batch: every case of the group walk in known order.
+std::vector<EdgeUpdate> ScriptedHubBatch() {
+  std::vector<EdgeUpdate> batch;
+  // Hub 0 is empty: nine inserts need two spare blocks.
+  for (VertexId v = 1; v <= 9; ++v) {
+    batch.push_back(EdgeUpdate::Insert(0, v, v));
+  }
+  batch.push_back(EdgeUpdate::Delete(0, 3));       // Frees slot 2 ...
+  batch.push_back(EdgeUpdate::Insert(0, 20, 5));   // ... which is reused.
+  batch.push_back(EdgeUpdate::Insert(0, 4, 77));   // Upsert.
+  batch.push_back(EdgeUpdate::Reweight(0, 5, 66)); // Reweight after insert.
+  batch.push_back(EdgeUpdate::Delete(0, 42));      // Missing.
+  batch.push_back(EdgeUpdate::Delete(0, 20));      // Insert -> delete ->
+  batch.push_back(EdgeUpdate::Insert(0, 20, 8));   // insert of one edge.
+  batch.push_back(EdgeUpdate::Reweight(0, 3, 1));  // Missing (deleted).
+  // Hubs 1 and 2: delete + reinsert and a fresh insert into a tombstone.
+  batch.push_back(EdgeUpdate::Delete(2, 45));
+  batch.push_back(EdgeUpdate::Delete(1, 41));
+  batch.push_back(EdgeUpdate::Insert(2, 7, 3));
+  batch.push_back(EdgeUpdate::Insert(1, 41, 9));
+  batch.push_back(EdgeUpdate::Insert(2, 45, 2));
+  return batch;
+}
+
+/// Random batch onto the hubs: half the destinations come from a
+/// 12-vertex hot set, so ~16-update groups repeat destinations, and they
+/// carry more than kSlotsPerBlock inserts.
+std::vector<EdgeUpdate> RandomHubBatch(Rng& rng) {
+  std::vector<EdgeUpdate> batch(48);
+  for (EdgeUpdate& up : batch) {
+    const auto u = static_cast<VertexId>(rng.NextBounded(kHubs));
+    const auto v = static_cast<VertexId>(
+        rng.NextBounded(2) == 0 ? rng.NextBounded(12)
+                                : rng.NextBounded(kWalkVertices));
+    const auto w = static_cast<uint32_t>(1 + rng.NextBounded(50));
+    const uint64_t pick = rng.NextBounded(10);
+    up = pick < 5   ? EdgeUpdate::Insert(u, v, w)
+         : pick < 8 ? EdgeUpdate::Delete(u, v)
+                    : EdgeUpdate::Reweight(u, v, w);
+  }
+  return batch;
+}
+
+/// The documented one-update semantics on a plain edge map.
+void ModelApply(EdgeMap& model, const EdgeUpdate& up, ApplyResult* res) {
+  const auto it = model.find({up.src, up.dst});
+  switch (up.op) {
+    case EdgeUpdate::Op::kInsert:
+      ++(it == model.end() ? res->inserted : res->updated);
+      model[{up.src, up.dst}] = up.weight;
+      return;
+    case EdgeUpdate::Op::kDelete:
+      if (it == model.end()) {
+        ++res->missing;
+      } else {
+        model.erase(it);
+        ++res->removed;
+      }
+      return;
+    case EdgeUpdate::Op::kUpdateWeight:
+      if (it == model.end()) {
+        ++res->missing;
+      } else {
+        it->second = up.weight;
+        ++res->updated;
+      }
+      return;
+  }
+}
+
+void ExpectSameTallies(const ApplyResult& got, const ApplyResult& want) {
+  EXPECT_EQ(got.inserted, want.inserted);
+  EXPECT_EQ(got.updated, want.updated);
+  EXPECT_EQ(got.removed, want.removed);
+  EXPECT_EQ(got.missing, want.missing);
+}
+
+/// Live slots in chain order: equal chains mean the group walk placed
+/// every insert in exactly the slot a one-at-a-time apply would have.
+std::vector<std::vector<std::pair<VertexId, uint32_t>>> ChainOrder(
+    const DynamicGraph& g) {
+  struct PlainReads {
+    TmWord Read(VertexId /*v*/, const TmWord* addr) { return *addr; }
+  } plain;
+  std::vector<std::vector<std::pair<VertexId, uint32_t>>> chains(
+      g.NumVertices());
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    EXPECT_TRUE(g.VisitAdjacencyInTxn(
+        plain, u, g.TraversalBound(),
+        [&](VertexId t, uint32_t w) { chains[u].emplace_back(t, w); }));
+  }
+  return chains;
+}
+
+template <typename Scheduler>
+void ExpectGroupWalkMatchesOneAtATime(Scheduler& tm, uint64_t seed) {
+  const DynamicGraph::Options weighted{.weighted = true};
+  DynamicGraph live(kWalkVertices, weighted);
+  DynamicGraph twin(kWalkVertices, weighted);
+  live.LoadCsrQuiesced(HubBase());
+  twin.LoadCsrQuiesced(HubBase());
+  EdgeMap model = FrozenEdges(twin.Freeze());
+  Rng rng(seed);
+  for (int b = 0; b < 40; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const std::vector<EdgeUpdate> batch =
+        b == 0 ? ScriptedHubBatch() : RandomHubBatch(rng);
+    const ApplyResult got = live.ApplyBatch(tm, 0, batch);
+    ApplyResult one_at_a_time, modeled;
+    for (const EdgeUpdate& up : batch) {
+      twin.ApplyQuiescedUpdate(up, &one_at_a_time);
+      ModelApply(model, up, &modeled);
+    }
+    ExpectSameTallies(got, one_at_a_time);
+    ExpectSameTallies(got, modeled);
+    ASSERT_EQ(live.CheckInvariantsQuiesced(), std::nullopt);
+    ASSERT_EQ(twin.CheckInvariantsQuiesced(), std::nullopt);
+    ASSERT_EQ(FrozenEdges(live.Freeze()), model);
+    ASSERT_EQ(ChainOrder(live), ChainOrder(twin));
+    EXPECT_EQ(live.AllocatedBlocks() - live.FreeListBlocks(),
+              twin.AllocatedBlocks() - twin.FreeListBlocks());
+    for (VertexId u = 0; u < kHubs; ++u) {
+      EXPECT_EQ(live.ApproxDegree(u), twin.ApproxDegree(u));
+    }
+  }
+}
+
+TEST(GroupWalkTest, MatchesOneAtATimeOnDefaultTuFast) {
+  EmulatedHtm htm;
+  TuFast tm(htm, kWalkVertices);
+  ExpectGroupWalkMatchesOneAtATime(tm, 61);
+}
+
+TEST(GroupWalkTest, MatchesOneAtATimeInOAndLModes) {
+  TuFastInstrumented::Config config;
+  config.h_hint_threshold = 16;
+  config.o_hint_threshold = 64;
+  EmulatedHtm htm;
+  TuFastInstrumented tm(htm, kWalkVertices, config);
+  ExpectGroupWalkMatchesOneAtATime(tm, 62);
+  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
+  EXPECT_GT(snap.commits[static_cast<int>(TxnClass::kO)] +
+                snap.commits[static_cast<int>(TxnClass::kOPlus)] +
+                snap.commits[static_cast<int>(TxnClass::kO2L)],
+            0u);
+  EXPECT_GT(snap.commits[static_cast<int>(TxnClass::kL)], 0u);
+}
+
+TEST(GroupWalkTest, MatchesOneAtATimeOnTwoPhaseLocking) {
+  EmulatedHtm htm;
+  TwoPhaseLocking<EmulatedHtm> tm(htm, kWalkVertices);
+  ExpectGroupWalkMatchesOneAtATime(tm, 63);
+}
+
+TEST(GroupWalkTest, WalReplayOfMultiUpdateGroupsReproducesTheGraph) {
+  const std::string path = ::testing::TempDir() + "/tufast_group_walk_" +
+                           std::to_string(static_cast<long>(getpid())) +
+                           ".wal";
+  std::remove(path.c_str());
+  DynamicGraph live(kWalkVertices, {.weighted = true});
+  live.EnsureVerticesQuiesced(kWalkVertices);
+  std::map<VertexId, std::vector<EdgeUpdate>> applied;
+  {
+    EmulatedHtm htm;
+    TuFast tm(htm, kWalkVertices);
+    WalWriter writer(path);
+    ASSERT_TRUE(writer.ok());
+    tm.EnableWal(&writer);
+    Rng rng(64);
+    for (int b = 0; b < 12; ++b) {
+      const std::vector<EdgeUpdate> batch =
+          b == 0 ? ScriptedHubBatch() : RandomHubBatch(rng);
+      live.ApplyBatch(tm, 0, batch);
+      for (const EdgeUpdate& up : batch) applied[up.src].push_back(up);
+    }
+  }
+
+  // WalNote order: per source vertex, the log holds exactly the applied
+  // updates in their batch order.
+  std::map<VertexId, std::vector<EdgeUpdate>> logged;
+  bool multi_update_group = false;
+  ScanWal(path, [&](const WalRecoveredRecord& rec) {
+    for (size_t i = 0; i < rec.updates.size(); ++i) {
+      logged[rec.updates[i].src].push_back(rec.updates[i]);
+      multi_update_group |=
+          i > 0 && rec.updates[i].src == rec.updates[i - 1].src;
+    }
+  });
+  EXPECT_TRUE(multi_update_group);
+  ASSERT_EQ(logged.size(), applied.size());
+  for (const auto& [src, ups] : applied) {
+    const std::vector<EdgeUpdate>& log = logged[src];
+    ASSERT_EQ(log.size(), ups.size()) << "source " << src;
+    for (size_t i = 0; i < ups.size(); ++i) {
+      EXPECT_EQ(log[i].op, ups[i].op);
+      EXPECT_EQ(log[i].dst, ups[i].dst);
+      EXPECT_EQ(log[i].weight, ups[i].weight);
+    }
+  }
+
+  DynamicGraph rec(kWalkVertices, {.weighted = true});
+  const WalRecoveryResult res = RecoverFromWal(&rec, path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(res.torn_tail);
+  rec.EnsureVerticesQuiesced(kWalkVertices);
+  EXPECT_EQ(rec.CheckInvariantsQuiesced(), std::nullopt);
+  EXPECT_EQ(FrozenEdges(rec.Freeze()), FrozenEdges(live.Freeze()));
+  EXPECT_EQ(ChainOrder(rec), ChainOrder(live));
 }
 
 // ---------------------------------------------------------------------------

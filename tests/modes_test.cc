@@ -3,6 +3,8 @@
 // O-mode validation and lock-busy outcomes, segment accounting, and
 // L-mode buffering — exercised directly, below the router.
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "htm/emulated_htm.h"
@@ -124,6 +126,61 @@ TEST_F(ModesTest, OModeSegmentsRollAtPeriod) {
   EXPECT_EQ(txn.ops(), 12u);
   EXPECT_EQ(txn.CommitSoftware(), OCommitResult::kOk);
   EXPECT_GE(htx_.stats().begins, 3u);  // Initial + >= 2 boundaries.
+}
+
+TEST_F(ModesTest, OModeRereadOfVertexLockedMidSegmentNeverCommits) {
+  // The second read of vertex 5 skips the lock-word load (one
+  // subscription per vertex per segment). The lock line is still in the
+  // segment's read set, so the acquisition in between must doom it.
+  OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
+  txn.Reset(/*period=*/100);
+  bool locked = false;
+  const AbortStatus status = htx_.Execute([&] {
+    (void)txn.Read(5, &data_[5]);
+    std::thread([&] { locked = locks_.TryLockExclusive(5); }).join();
+    (void)txn.Read(5, &data_[5]);
+    txn.Write(6, &data_[6], 1);
+  });
+  ASSERT_TRUE(locked);
+  if (status.ok()) {
+    EXPECT_NE(txn.CommitSoftware(), OCommitResult::kOk);
+  } else {
+    EXPECT_EQ(status.cause, AbortCause::kConflict);
+  }
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[6]), 0u) << "write not published";
+  locks_.UnlockExclusive(5);
+}
+
+TEST_F(ModesTest, OModeSegmentBoundaryResubscribesTheLockWord) {
+  // Period 2: the second read of vertex 5 first rolls the segment. The
+  // new segment's begin hook locks vertex 5 — after the old segment,
+  // which had subscribed it, committed — so nothing is doomed, and only
+  // a fresh subscription in the new segment can see the lock.
+  struct HookCtx {
+    LockTable<EmulatedHtm>* locks;
+    int begins = 0;
+    bool locked = false;
+  } ctx{&locks_};
+  EmulatedHtm::Tx::Hooks hooks;
+  hooks.on_begin = [](void* p) {
+    auto* c = static_cast<HookCtx*>(p);
+    if (++c->begins == 2) c->locked = c->locks->TryLockExclusive(5);
+  };
+  hooks.ctx = &ctx;
+  htx_.SetHooks(hooks);
+  OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
+  txn.Reset(/*period=*/2);
+  const AbortStatus status = htx_.Execute([&] {
+    (void)txn.Read(5, &data_[5]);
+    (void)txn.Read(5, &data_[5]);
+    ADD_FAILURE() << "read of a vertex locked since the boundary must abort";
+  });
+  htx_.SetHooks({});
+  ASSERT_TRUE(ctx.locked);
+  EXPECT_EQ(ctx.begins, 2);
+  EXPECT_EQ(status.cause, AbortCause::kExplicit);
+  EXPECT_EQ(status.user_code, kAbortCodeLockBusy);
+  locks_.UnlockExclusive(5);
 }
 
 TEST_F(ModesTest, LModeBuffersWritesUntilCommit) {

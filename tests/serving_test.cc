@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -542,6 +543,60 @@ TEST(ServeEngineTest, QueueDelayPlumbingSurvivesReadmission) {
   (void)RunEngine(tm, *dyn, ec, /*requests=*/4000, /*seed=*/13);
   // All assertions live in RunEngine; reaching here means they held
   // under heavy bounce/readmit traffic.
+}
+
+TEST(ServeEngineTest, ParkedBulkDrainsAfterRecovery) {
+  // Regression: admission used to trip on queue delay measured from the
+  // scheduled arrival, parked time included, so each re-admitted bulk
+  // request re-tripped the controller that had parked it. The trip
+  // signal is now the run-queue wait, which excludes parked time.
+  EmulatedHtm htm;
+  Scheduler tm(htm, kVertices, {});
+  auto dyn = MakeRingGraph(tm);
+  Engine::Config ec;
+  ec.num_workers = 2;
+  ec.admission.slo_p99_ns = 200'000'000;  // Recovers at <= 100 ms.
+  ec.admission.queue_delay_trip_ns = 50'000'000;
+  ec.admission.window = 16;
+  Engine engine(tm, *dyn, ec);
+  AdmissionController& ac = engine.admission();
+  engine.Start();
+  uint64_t seq = 0;
+  auto offer = [&](Tenant tenant) {
+    Request r;
+    r.tenant = tenant;
+    r.op = Op::kPointRead;
+    r.key = static_cast<uint32_t>(seq % kVertices);
+    r.seq = seq++;
+    r.arrival_ns = engine.NowNs();
+    return engine.Offer(r);
+  };
+
+  ac.NoteQueueDelay(~uint64_t{0});  // Trip.
+  ASSERT_EQ(ac.state(), AdmissionController::State::kShedding);
+  constexpr uint64_t kParked = 64;
+  for (uint64_t i = 0; i < kParked; ++i) {
+    ASSERT_EQ(offer(Tenant::kBulk), Disposition::kDeferred);
+  }
+  // Parked for longer than the queue-delay trip.
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  // Interactive completions close shedding windows until recovery; the
+  // parked requests then re-enter the run queue a few at a time.
+  for (int round = 0; round < 5000 && ac.Deferred(Tenant::kBulk) > 0;
+       ++round) {
+    offer(Tenant::kInteractive);
+    engine.TryReadmit(4);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  engine.Drain();
+
+  EXPECT_EQ(ac.Deferred(Tenant::kBulk), 0u) << "parked requests stranded";
+  EXPECT_EQ(ac.Readmitted(Tenant::kBulk), kParked);
+  EXPECT_EQ(ac.trips(), 1u) << "re-admissions re-tripped the controller";
+  EXPECT_GE(ac.recoveries(), 1u);
+  EXPECT_TRUE(ac.Conserved());
+  EXPECT_EQ(engine.ExecutedTotal(), ac.Admitted(Tenant::kInteractive) +
+                                        ac.Admitted(Tenant::kBulk));
 }
 
 TEST(ServeEngineTest, AdmissionShedsBulkToProtectInteractiveTail) {
