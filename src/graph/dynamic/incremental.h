@@ -163,8 +163,8 @@ class IncrementalWcc {
 };
 
 /// Incremental PageRank over snapshots: each Update() re-converges on the
-/// latest frozen graph starting from the previous ranks (padded and
-/// renormalized when the vertex set grew) instead of from uniform 1/n.
+/// latest frozen graph starting from the previous ranks (rescaled and
+/// padded when the vertex set grew) instead of from uniform 1/n.
 /// Small update batches barely move the stationary distribution, so the
 /// warm start cuts iterations-to-tolerance sharply while converging to
 /// the same fixed point as a from-scratch run (cross-checked in tests).
@@ -184,12 +184,15 @@ class IncrementalPageRank {
     PageRankOptions options = options_;
     std::vector<double> seed;
     if (!ranks_.empty() && n > 0) {
+      // The fixed point x = base + d*A*x is linear in base = (1-d)/n, and
+      // dangling vertices leak mass, so it does not sum to 1: normalizing
+      // it would start every vertex off its fixed point. Scaling by
+      // n_old/n maps the old fixed point onto the new one for unchanged
+      // edges; new vertices start at base, their value with no in-edges.
       seed = ranks_;
-      seed.resize(n, 1.0 / n);
-      const double sum = std::accumulate(seed.begin(), seed.end(), 0.0);
-      if (sum > 0) {
-        for (double& r : seed) r /= sum;
-      }
+      const double scale = static_cast<double>(ranks_.size()) / n;
+      for (double& r : seed) r *= scale;
+      seed.resize(n, (1.0 - options.damping) / n);
       options.initial_ranks = &seed;
     }
     PageRankResult result = PageRankTm(tm, pool, graph, reversed, options);

@@ -84,17 +84,15 @@ class BasicEmulatedHtm {
     Backoff backoff;
     while (true) {
       LockEntry(e);
-      if (ClearForeignOwners(e, /*self_slot=*/-1)) {
+      const int drain = ClearForeignOwners(e, /*self_slot=*/-1);
+      if (drain < 0) {
         __atomic_store_n(addr, value, __ATOMIC_RELEASE);
         UnlockEntry(e);
         return;
       }
-      const int16_t writer = e.writer.load(std::memory_order_relaxed);
       UnlockEntry(e);
-      // Wait (yielding) for the doomed writer to abort or finish flushing.
-      while (e.writer.load(std::memory_order_acquire) == writer) {
-        backoff.Pause();
-      }
+      // Wait for the committing owner to finish flushing.
+      WaitForDrain(e, drain, backoff);
     }
   }
 
@@ -106,15 +104,10 @@ class BasicEmulatedHtm {
     Backoff backoff;
     while (true) {
       LockEntry(e);
-      if (ClearForeignOwners(e, /*self_slot=*/-1)) {
-        UnlockEntry(e);
-        return;
-      }
-      const int16_t writer = e.writer.load(std::memory_order_relaxed);
+      const int drain = ClearForeignOwners(e, /*self_slot=*/-1);
       UnlockEntry(e);
-      while (e.writer.load(std::memory_order_acquire) == writer) {
-        backoff.Pause();
-      }
+      if (drain < 0) return;
+      WaitForDrain(e, drain, backoff);
     }
   }
 
@@ -139,7 +132,7 @@ class BasicEmulatedHtm {
     while (true) {
       LockEntry(e);
       const int16_t writer = e.writer.load(std::memory_order_relaxed);
-      if (writer < 0 || !DoomWriterMustWait(writer)) {
+      if (writer < 0 || !DoomMustWait(writer)) {
         // No writer, or one doomed before its commit point: its buffered
         // write can never land, so current memory is committed state.
         const TmWord value = __atomic_load_n(addr, __ATOMIC_ACQUIRE);
@@ -180,16 +173,16 @@ class BasicEmulatedHtm {
     std::atomic<uint8_t> progress{kActive};
   };
 
-  /// Dooms `writer` and reports whether the caller must wait for its line
+  /// Dooms `slot` and reports whether the caller must wait for its line
   /// ownership to drain (true) or may displace it immediately (false).
-  bool DoomWriterMustWait(int16_t writer) {
+  bool DoomMustWait(int16_t slot) {
     // Requester wins: doom the owner. If it already published kCommitting
     // it may be flushing its buffer, so the caller must wait for the
     // ownership to drain; otherwise the Dekker handshake guarantees it
     // will observe the doom at its commit point and abort, so it can be
     // displaced now.
-    slots_[writer].doomed.store(true, std::memory_order_seq_cst);
-    return slots_[writer].progress.load(std::memory_order_seq_cst) ==
+    slots_[slot].doomed.store(true, std::memory_order_seq_cst);
+    return slots_[slot].progress.load(std::memory_order_seq_cst) ==
            TxSlot::kCommitting;
   }
 
@@ -214,25 +207,54 @@ class BasicEmulatedHtm {
   }
 
   /// Dooms the writer (if foreign) and all foreign readers of a locked
-  /// entry; returns false (entry unlocked) if a foreign writer must first
-  /// drain, true (entry still locked) when the line is clear.
-  bool ClearForeignOwners(LineEntry& e, int self_slot) {
+  /// entry. Returns -1 when the line is clear, or the slot of a foreign
+  /// owner past its commit point that must drain first; the entry stays
+  /// locked either way.
+  ///
+  /// A committing writer always drains first. A committing reader drains
+  /// first only for a non-transactional requester (self_slot < 0): the
+  /// reader is serialized before the plain write, but its own buffered
+  /// writes to *other* lines may not be flushed yet, and the code after a
+  /// lock-word CAS reads those lines with plain loads. Real XEND is
+  /// atomic and has no such window. A transactional requester never
+  /// needs to wait for a reader: its own writes stay buffered until it
+  /// commits. Committing readers keep their bit either way, so a later
+  /// non-transactional requester still finds them.
+  int ClearForeignOwners(LineEntry& e, int self_slot) {
     const int16_t writer = e.writer.load(std::memory_order_relaxed);
     if (writer >= 0 && writer != self_slot) {
-      if (DoomWriterMustWait(writer)) return false;
+      if (DoomMustWait(writer)) return writer;
       e.writer.store(int16_t{-1}, std::memory_order_relaxed);  // Displace.
     }
-    uint64_t readers = e.readers.load(std::memory_order_relaxed);
+    const uint64_t readers = e.readers.load(std::memory_order_relaxed);
     const uint64_t self_bit =
         self_slot >= 0 ? uint64_t{1} << self_slot : uint64_t{0};
+    uint64_t keep = readers & self_bit;
     uint64_t foreign = readers & ~self_bit;
     while (foreign != 0) {
       const int slot = std::countr_zero(foreign);
-      slots_[slot].doomed.store(true, std::memory_order_seq_cst);
+      if (DoomMustWait(static_cast<int16_t>(slot))) {
+        if (self_slot < 0) return slot;
+        keep |= uint64_t{1} << slot;
+      }
       foreign &= foreign - 1;
     }
-    e.readers.store(readers & self_bit, std::memory_order_relaxed);
-    return true;
+    e.readers.store(keep, std::memory_order_relaxed);
+    return -1;
+  }
+
+  /// Waits (yielding) until `slot` no longer owns `e` past its commit
+  /// point: it released the line (committed or aborted) or began anew.
+  /// The caller then re-locks the entry, which orders the slot's flush
+  /// before anything the caller does next.
+  void WaitForDrain(LineEntry& e, int slot, Backoff& backoff) {
+    const uint64_t bit = uint64_t{1} << slot;
+    while ((e.writer.load(std::memory_order_acquire) == slot ||
+            (e.readers.load(std::memory_order_acquire) & bit) != 0) &&
+           slots_[slot].progress.load(std::memory_order_seq_cst) ==
+               TxSlot::kCommitting) {
+      backoff.Pause();
+    }
   }
 
   HtmConfig config_;
@@ -404,7 +426,7 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
       InterpretHtmAction(Failpoints::Hit(FailSite::kHtmCommit, slot_));
     }
     // Commit point: publish kCommitting *before* checking doomed (Dekker
-    // handshake with DoomWriterMustWait). Any doom sequenced before the
+    // handshake with DoomMustWait). Any doom sequenced before the
     // check forces an abort; a doom after it means the conflicting
     // transaction either waits for our flush (writers) or serializes
     // after us (readers). See DESIGN.md.
@@ -521,7 +543,7 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
       LockEntry(entry);
       const int16_t writer = entry.writer.load(std::memory_order_relaxed);
       if (writer < 0 || writer == slot_ ||
-          !htm_.DoomWriterMustWait(writer)) {
+          !htm_.DoomMustWait(writer)) {
         if (writer >= 0 && writer != slot_) {
           entry.writer.store(int16_t{-1}, std::memory_order_relaxed);
         }
@@ -546,13 +568,13 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
     uint32_t spins = 0;
     while (true) {
       LockEntry(entry);
-      if (htm_.ClearForeignOwners(entry, slot_)) {
+      const int writer = htm_.ClearForeignOwners(entry, slot_);
+      if (writer < 0) {
         entry.writer.store(static_cast<int16_t>(slot_),
                            std::memory_order_relaxed);
         UnlockEntry(entry);
         return;
       }
-      const int16_t writer = entry.writer.load(std::memory_order_relaxed);
       UnlockEntry(entry);
       while (entry.writer.load(std::memory_order_acquire) == writer) {
         CheckDoom();

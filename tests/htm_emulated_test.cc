@@ -3,6 +3,7 @@
 // non-transactional-store interplay that lock subscription relies on.
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -138,6 +139,53 @@ TEST(EmulatedHtm, NotifyNonTxWriteDoomsSubscriber) {
     }
   });
   EXPECT_EQ(status.cause, AbortCause::kConflict);
+}
+
+// A subscriber past its commit point is serialized before a foreign
+// lock-word write, so the writer's next plain load must see the
+// subscriber's flushed data, as it would after an atomic XEND. The
+// subscriber stalls between its commit point and its write-back.
+void ExpectNonTxWriteWaitsOutCommittingSubscriber(bool notify) {
+  EmulatedHtm htm;
+  EmulatedHtm::Tx tx(htm, 1);
+  alignas(64) TmWord lock_word = 0;
+  alignas(64) TmWord data = 0;
+  struct Window {
+    std::atomic<bool> open{false};
+  } window;
+  EmulatedHtm::Tx::Hooks hooks;
+  hooks.pre_publish = [](void* ctx) {
+    static_cast<Window*>(ctx)->open.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  hooks.ctx = &window;
+  tx.SetHooks(hooks);
+  std::thread subscriber([&] {
+    const AbortStatus status = tx.Execute([&] {
+      (void)tx.Load(&lock_word);
+      tx.Store(&data, 42);
+    });
+    EXPECT_TRUE(status.ok());
+  });
+  while (!window.open.load()) std::this_thread::yield();
+  if (notify) {
+    __atomic_store_n(&lock_word, 1, __ATOMIC_RELEASE);  // Foreign CAS.
+    htm.NotifyNonTxWrite(&lock_word);
+  } else {
+    htm.NonTxStore(&lock_word, 1);
+  }
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data), 42u)
+      << "lock-word write returned before the committing subscriber's "
+         "write-back";
+  subscriber.join();
+}
+
+TEST(EmulatedHtm, NotifyNonTxWriteWaitsOutCommittingSubscriber) {
+  ExpectNonTxWriteWaitsOutCommittingSubscriber(/*notify=*/true);
+}
+
+TEST(EmulatedHtm, NonTxStoreWaitsOutCommittingSubscriber) {
+  ExpectNonTxWriteWaitsOutCommittingSubscriber(/*notify=*/false);
 }
 
 TEST(EmulatedHtm, RequesterWinsBetweenTwoTransactions) {
