@@ -65,10 +65,11 @@ namespace tufast {
 ///   --combine-skew=<f>
 ///                   fig06: add this Zipf alpha to the --combine sweep
 ///                   (>= 0; the built-in {0, 0.6, 0.9, 1.2} grid stays)
-///   --combine-chaos stress drivers: additionally arm the combiner
-///                   failpoints (forced slot-array overflow, truncated
-///                   collect sweeps) and run the exactly-once histogram
-///                   invariants on a hot-vertex combining scheduler
+///   --combine-chaos stress drivers: additionally arm the combining
+///                   failpoints (forced full-ring bounces, drains
+///                   released after one message) and run the exactly-once
+///                   histogram invariants on a hot-vertex combining
+///                   scheduler
 ///   --wal           streaming_updates: add the WAL-durability overhead
 ///                   column (Config::enable_wal with a log under the
 ///                   temp dir; wal_records/wal_bytes/wal_fsyncs land in

@@ -39,8 +39,8 @@ mailbox-drain committed-ops/sec / per-item committed-ops/sec): the
 group-commit drain must keep beating per-item execution despite paying
 the mailbox round trip. --min-combine-gain is the hot-vertex combining
 floor for combine_gain_x (combined / per-item committed-ops/sec on a
-pre-heated 4-hub workload): announcing into combiner slots and applying
-fused batches must keep beating per-item hot-path execution.
+pre-heated 4-hub workload): shipping to hot cells and applying fused
+batches must keep beating per-item hot-path execution.
 
 Stdlib only (json/argparse/re); no third-party dependencies.
 """

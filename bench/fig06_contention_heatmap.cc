@@ -16,8 +16,8 @@
 // combine_gain_x = combined / plain committed-ops/sec: near 1.0 under
 // uniform traffic (nothing gets hot, the history stays cold and the
 // combiner never engages) and rising with alpha as the hot head of the
-// distribution is announced into combiner slots and applied as fused
-// group commits instead of conflicting per-item transactions.
+// distribution is shipped to hot cells and applied as fused group
+// commits instead of conflicting per-item transactions.
 
 #include <algorithm>
 #include <cstdio>
@@ -224,7 +224,7 @@ void CombiningSkewSweep(const BenchFlags& flags) {
   std::printf(
       "expected shape: gain near 1.0 at alpha 0 (uniform traffic never "
       "heats the history; combined_ops stays 0) and rising with skew as "
-      "the hot head is announced into combiner slots and applied as fused "
+      "the hot head is shipped to hot cells and applied as fused "
       "batches.\n");
 }
 

@@ -114,7 +114,6 @@ void ReportShardTelemetry(const std::string& dataset,
                           const SchedulerStats& shared,
                           const SchedulerStats& sharded) {
   const uint64_t routed = sharded.shard_local_items +
-                          sharded.shard_kept_local +
                           sharded.shard_messages_sent +
                           sharded.shard_mailbox_full;
   const double cross_fraction =
@@ -133,7 +132,6 @@ void ReportShardTelemetry(const std::string& dataset,
   table.AddRow(
       {"drain batches", ReportTable::Int(sharded.shard_drain_batches)});
   table.AddRow({"local items", ReportTable::Int(sharded.shard_local_items)});
-  table.AddRow({"kept local", ReportTable::Int(sharded.shard_kept_local)});
   table.AddRow(
       {"mailbox-full bounces", ReportTable::Int(sharded.shard_mailbox_full)});
   table.AddRow({"max mailbox depth",

@@ -1,5 +1,5 @@
 // Hand-rolled microbenchmarks of the TM primitives: per-operation costs
-// of the emulated HTM, the lock table (dense and cache-line-padded),
+// of the emulated HTM, the lock table,
 // the write-set AddrMap (inline and table paths), one full Run()
 // through each TuFast mode, and the group-commit fusion hot path —
 // per-item versus fused committed-ops/sec on small H transactions plus
@@ -106,19 +106,15 @@ void BenchEmulatedHtm(MetricTable& out, uint64_t txns) {
 
 void BenchLockTable(MetricTable& out, uint64_t iters) {
   EmulatedHtm htm;
-  for (const bool padded : {false, true}) {
-    LockTable<EmulatedHtm> locks(htm, 1024, padded);
-    out.Measure(padded ? "lock_table_padded_shared_round_trips"
-                       : "lock_table_shared_round_trips",
-                iters, [&] {
-                  VertexId v = 0;
-                  for (uint64_t i = 0; i < iters; ++i) {
-                    locks.TryLockShared(v);
-                    locks.UnlockShared(v);
-                    v = (v + 1) & 1023;
-                  }
-                });
-  }
+  LockTable<EmulatedHtm> locks(htm, 1024);
+  out.Measure("lock_table_shared_round_trips", iters, [&] {
+    VertexId v = 0;
+    for (uint64_t i = 0; i < iters; ++i) {
+      locks.TryLockShared(v);
+      locks.UnlockShared(v);
+      v = (v + 1) & 1023;
+    }
+  });
 }
 
 void BenchAddrMap(MetricTable& out, uint64_t iters) {
@@ -302,11 +298,12 @@ void BenchSharding(MetricTable& out, uint64_t txns) {
 
 /// Hot-vertex flat-combining, measured deterministically on one thread:
 /// a stream aimed at 4 hot counters, executed per-item through Run()
-/// versus announced into combiner slots and applied as fused batches by
-/// the collector (the history is pre-heated so every window engages the
-/// combiner — on one thread nothing aborts, so heat would never develop
-/// naturally). The comparison isolates the announce/collect machinery's
-/// cost against the group-commit amortization it buys:
+/// versus shipped to the hot cells and applied as fused batches by the
+/// drainer (the history is pre-heated so every window engages the hot
+/// cells — on one thread nothing aborts, so heat would never develop
+/// naturally). A hot ring holds am_batch messages; 64 fits one window's
+/// share of each hub. The comparison isolates the ship/drain
+/// machinery's cost against the group-commit amortization it buys:
 ///   combine_hot_per_item_ops  committed ops/sec, hot stream, per-item
 ///   combine_hot_combined_ops  same stream through the combiner
 ///   combine_gain_x            their ratio (must stay >= the checked-in
@@ -336,11 +333,11 @@ void BenchCombining(MetricTable& out, uint64_t txns) {
     TuFast::Config config;
     config.enable_combining = true;
     config.hot_threshold = 0.25;
-    config.combiner_slots = 64;
+    config.am_batch = 64;
     TuFast tm(htm, kVertices, config);
     for (VertexId v = 0; v < kHot; ++v) {
       for (int k = 0; k < 64; ++k) {
-        tm.combiner_runtime()->history().RecordAttempt(v, true);
+        tm.delegation()->history()->RecordAttempt(v, true);
       }
     }
     std::vector<TmWord> values(kVertices, 0);
@@ -464,8 +461,7 @@ int Main(int argc, char** argv) {
       "expected shape: fused H ops/sec beats per-item by amortizing "
       "BEGIN/COMMIT across the fused region (fusion_gain_x > 1); the "
       "width sweep rises steeply from w1 and flattens once commit "
-      "overhead is amortized; padded lock words trade round-trip speed "
-      "for false-sharing isolation.\n");
+      "overhead is amortized.\n");
   return 0;
 }
 

@@ -79,13 +79,11 @@ FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
     config.Arm(FailSite::kMessageReorder, 0.2, FailAction::kFail);
   }
   if (combine_chaos) {
-    // Combiner chaos: force slot-array-full announce failures (the
-    // router must execute the op on the cold path, never drop it and
-    // never also leave a claimed slot behind) and truncate collect
-    // sweeps after one op (the cell lock releases with kReady slots
-    // still parked; another worker — possibly the announcer's own flush
-    // helper — must pick them up, exactly once).
-    config.Arm(FailSite::kCombinerSlotFull, 0.3, FailAction::kFail);
+    // Combiner chaos: force full-ring bounces (the router must execute
+    // the op locally, never drop it) and release the drain lock after
+    // one message (the rest stay queued; another worker — possibly the
+    // sender's own flush helper — must pick them up, exactly once).
+    config.Arm(FailSite::kMailboxFull, 0.3, FailAction::kFail);
     config.Arm(FailSite::kOwnerHandoff, 0.3, FailAction::kFail);
   }
   if (mvcc_chaos) {
@@ -173,8 +171,8 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       const uint64_t seed = flags.seed + i;
       FaultyHtm htm;
       // --combine-chaos alternates plain and sharded combining by seed
-      // parity, so the local-list-through-the-combiner composition gets
-      // the same fault pressure as the standalone combiner.
+      // parity, so owner and hot cells sharing one run get the same
+      // fault pressure as hot cells alone.
       auto tm = flags.combine_chaos
                     ? MakeCombiningSchedulerFor<Scheduler>(
                           htm, /*vertices=*/48, policy,
@@ -200,9 +198,9 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       // sharded router's message path on TuFast; the same calls through
       // the per-item fallback on the fixed baselines). --combine-chaos
       // runs the same batched suites: their precomputed histograms are
-      // the exactly-once oracle for the announce/collect protocol — a
-      // slot collected twice or abandoned shows up as a high or low
-      // counter cell.
+      // the exactly-once oracle for the ship/drain protocol — a message
+      // drained twice or abandoned shows up as a high or low counter
+      // cell.
       auto err = (flags.shard_chaos || flags.combine_chaos)
                      ? RunShardedInvariantSuite(*tm, cfg)
                      : RunInvariantSuite(*tm, cfg);
@@ -1028,7 +1026,7 @@ int Main(int argc, char** argv) {
     table.AddRow({"combine batches", ReportTable::Int(totals.combine_batches)});
     table.AddRow({"hot-vertex transitions",
                   ReportTable::Int(totals.hot_vertices)});
-    table.AddRow({"slot-full bounces",
+    table.AddRow({"full-ring bounces",
                   ReportTable::Int(totals.combine_slot_full)});
   }
   if (flags.shard_chaos) {

@@ -34,14 +34,13 @@ enum class FailSite : uint8_t {
   kBreakerTrip,           // ContentionMonitor: force the breaker open
   kStarvationToken,       // L retry loop: force starvation escalation
   kVictimReabort,         // L retry loop: synthesize extra victim aborts
-  kMailboxFull,           // Shard router: force a full-mailbox bounce
-  kMessageReorder,        // Shard drain: rotate the drained batch order
+  kMailboxFull,           // Delegation route: force a full-ring bounce
+  kMessageReorder,        // Delegation drain: rotate the batch order
   kVersionReclaim,        // MVCC EndInstall: force a reclamation pass
   kStaleEpoch,            // MVCC BeginSnapshot: stretch the pinned window
   kServeQueueFull,        // ServeEngine::Offer: force a run-queue bounce
   kServeDeferFull,        // ServeEngine defer path: force defer-queue full
-  kCombinerSlotFull,      // Combiner announce: force a slot-array overflow
-  kOwnerHandoff,          // Combiner collect: truncate the sweep mid-batch
+  kOwnerHandoff,          // Delegation drain: unlock after one message
   kWalTornWrite,          // WAL flush: corrupt a bit inside the tail record
   kWalShortWrite,         // WAL flush: persist only a prefix of the tail
   kCrashBeforeFsync,      // WAL flush: crash after write, before fsync
@@ -73,7 +72,6 @@ inline const char* FailSiteName(FailSite s) {
     case FailSite::kStaleEpoch: return "stale_epoch";
     case FailSite::kServeQueueFull: return "serve_queue_full";
     case FailSite::kServeDeferFull: return "serve_defer_full";
-    case FailSite::kCombinerSlotFull: return "combiner_slot_full";
     case FailSite::kOwnerHandoff: return "owner_handoff";
     case FailSite::kWalTornWrite: return "wal_torn_write";
     case FailSite::kWalShortWrite: return "wal_short_write";

@@ -20,10 +20,10 @@ struct ActiveMessage {
 };
 
 /// Bounded multi-producer ring buffer of active messages (the classic
-/// sequence-number bounded queue). Producers are the cross-shard
-/// senders; consumption is serialized by the shard's drain lock, but the
-/// ring itself is safe for concurrent dequeuers too, so a helping sender
-/// can drain while the owner is mid-batch.
+/// sequence-number bounded queue). Producers are the delegating
+/// senders; consumption is serialized by the cell's drain lock
+/// (tm/delegation.h), but the ring itself is safe for concurrent
+/// dequeuers too.
 ///
 /// TryEnqueue is lossless-by-contract: it fails (returns false) when the
 /// ring is full and the *caller* must then run the item locally — a

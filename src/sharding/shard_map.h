@@ -8,15 +8,13 @@
 
 namespace tufast {
 
-/// Static vertex -> shard -> owning-worker map for the shard-per-core
-/// ownership layer (DESIGN.md "Sharding and atomic active messages").
+/// Static vertex -> shard -> owning-worker map for the delegation layer's
+/// owner cells (DESIGN.md "Delegation").
 ///
 /// Vertices are dealt to shards cyclically (v % num_shards) rather than
 /// in contiguous ranges: power-law generators (RMAT) concentrate hubs at
 /// low ids, and a range split would hand one shard nearly all the
-/// contention. The cyclic deal also gives each shard a dense local index
-/// space (v / num_shards), which is what lets a per-shard LockTable be
-/// sized to exactly its own vertices.
+/// contention.
 ///
 /// Shards are in turn dealt cyclically to the owning workers
 /// (s % num_workers), so any shard count >= the worker count load-
@@ -27,18 +25,16 @@ namespace tufast {
 /// Edge cases are all well-defined by the arithmetic: a vertex count not
 /// divisible by the shard count leaves shard sizes differing by at most
 /// one; num_shards == 1 degenerates to the unsharded world (every vertex
-/// local to worker 0's shard); num_shards > num_vertices leaves the tail
-/// shards empty (size 0).
+/// local to worker 0's shard); more shards than vertices leaves the tail
+/// shards empty.
 class ShardMap {
  public:
-  ShardMap(VertexId num_vertices, uint32_t num_shards, uint32_t num_workers)
-      : num_vertices_(num_vertices),
-        num_shards_(num_shards == 0 ? 1 : num_shards),
+  ShardMap(uint32_t num_shards, uint32_t num_workers)
+      : num_shards_(num_shards == 0 ? 1 : num_shards),
         num_workers_(num_workers == 0 ? 1 : num_workers),
         shard_mask_(IsPow2(num_shards_) ? num_shards_ - 1 : 0),
         pow2_(IsPow2(num_shards_)) {}
 
-  VertexId num_vertices() const { return num_vertices_; }
   uint32_t num_shards() const { return num_shards_; }
   uint32_t num_workers() const { return num_workers_; }
 
@@ -46,17 +42,6 @@ class ShardMap {
   /// mask fast path — the hot router query).
   TUFAST_ALWAYS_INLINE uint32_t ShardOf(VertexId v) const {
     return pow2_ ? (v & shard_mask_) : (v % num_shards_);
-  }
-
-  /// Dense index of `v` inside its shard's local vertex space.
-  TUFAST_ALWAYS_INLINE VertexId LocalIndex(VertexId v) const {
-    return v / num_shards_;
-  }
-
-  /// Number of vertices dealt to shard `s` (sizes differ by at most 1).
-  VertexId ShardSize(uint32_t s) const {
-    if (s >= num_shards_ || num_vertices_ <= s) return 0;
-    return (num_vertices_ - s - 1) / num_shards_ + 1;
   }
 
   /// Worker owning shard `s` (cyclic deal over the worker set).
@@ -70,7 +55,6 @@ class ShardMap {
  private:
   static constexpr bool IsPow2(uint32_t x) { return (x & (x - 1)) == 0; }
 
-  VertexId num_vertices_;
   uint32_t num_shards_;
   uint32_t num_workers_;
   uint32_t shard_mask_;

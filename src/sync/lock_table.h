@@ -11,15 +11,6 @@
 
 namespace tufast {
 
-/// Uniform construction options for the pluggable conflict-space tables
-/// (LockTable below and sharding/sharded_lock_table.h). Schedulers that
-/// are templated on the table type construct it as
-/// `Table(htm, num_vertices, options)`; LockTable ignores `shards`.
-struct LockTableOptions {
-  bool padded = false;
-  uint32_t shards = 1;
-};
-
 /// Per-vertex reader-writer lock words shared by all three TuFast modes
 /// (paper §IV-A: the sub-schedulers are integrated into one HyTM by
 /// sharing the same locks and metadata).
@@ -35,36 +26,23 @@ struct LockTableOptions {
 /// handling are LockManager's job (L mode only — H/O never wait, which is
 /// why they need no deadlock detection, paper §IV-E).
 ///
-/// Layout: dense by default (8 lock words per cache line — fused batch
-/// windows that touch neighboring vertices then subscribe 8 words with
-/// one line). `padded = true` spreads the words one per cache line,
-/// trading 8x footprint for zero false sharing between adjacent
-/// vertices' acquisitions — the right call for scattered high-contention
-/// access patterns (see DESIGN.md "Batch executor").
+/// Layout: dense (8 lock words per cache line — fused batch windows that
+/// touch neighboring vertices then subscribe 8 words with one line).
 template <typename Htm>
 class LockTable {
  public:
   using Failpoints = HtmFailpoints<Htm>;
 
   static constexpr TmWord kExclusiveBit = TmWord{1} << 31;
-  /// log2(lock words per cache line): padded mode strides by this.
-  static constexpr unsigned kPadShift = 3;
-  static_assert((sizeof(TmWord) << kPadShift) == kCacheLineBytes);
 
-  LockTable(Htm& htm, size_t num_vertices, bool padded = false)
-      : htm_(htm),
-        shift_(padded ? kPadShift : 0),
-        num_vertices_(num_vertices),
-        words_(num_vertices << shift_, 0) {}
-  LockTable(Htm& htm, size_t num_vertices, const LockTableOptions& opts)
-      : LockTable(htm, num_vertices, opts.padded) {}
+  LockTable(Htm& htm, size_t num_vertices)
+      : htm_(htm), words_(num_vertices, 0) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(LockTable);
 
-  size_t size() const { return num_vertices_; }
-  bool padded() const { return shift_ != 0; }
+  size_t size() const { return words_.size(); }
 
   /// Address of the lock word, for transactional subscription.
-  const TmWord* WordAddr(VertexId v) const { return &words_[Idx(v)]; }
+  const TmWord* WordAddr(VertexId v) const { return &words_[v]; }
 
   /// Compatibility predicates over a subscribed word value.
   static bool SharedCompatible(TmWord word) {
@@ -73,12 +51,12 @@ class LockTable {
   static bool Free(TmWord word) { return word == 0; }
 
   bool TryLockShared(VertexId v) {
-    TmWord expected = __atomic_load_n(&words_[Idx(v)], __ATOMIC_RELAXED);
+    TmWord expected = __atomic_load_n(&words_[v], __ATOMIC_RELAXED);
     while (SharedCompatible(expected)) {
-      if (__atomic_compare_exchange_n(&words_[Idx(v)], &expected, expected + 1,
+      if (__atomic_compare_exchange_n(&words_[v], &expected, expected + 1,
                                       /*weak=*/false, __ATOMIC_ACQUIRE,
                                       __ATOMIC_RELAXED)) {
-        htm_.NotifyNonTxWrite(&words_[Idx(v)]);
+        htm_.NotifyNonTxWrite(&words_[v]);
         return true;
       }
     }
@@ -95,10 +73,10 @@ class LockTable {
       }
     }
     TmWord expected = 0;
-    if (__atomic_compare_exchange_n(&words_[Idx(v)], &expected, kExclusiveBit,
+    if (__atomic_compare_exchange_n(&words_[v], &expected, kExclusiveBit,
                                     /*weak=*/false, __ATOMIC_ACQUIRE,
                                     __ATOMIC_RELAXED)) {
-      htm_.NotifyNonTxWrite(&words_[Idx(v)]);
+      htm_.NotifyNonTxWrite(&words_[v]);
       return true;
     }
     return false;
@@ -115,39 +93,35 @@ class LockTable {
       }
     }
     TmWord expected = 1;
-    if (__atomic_compare_exchange_n(&words_[Idx(v)], &expected, kExclusiveBit,
+    if (__atomic_compare_exchange_n(&words_[v], &expected, kExclusiveBit,
                                     /*weak=*/false, __ATOMIC_ACQUIRE,
                                     __ATOMIC_RELAXED)) {
-      htm_.NotifyNonTxWrite(&words_[Idx(v)]);
+      htm_.NotifyNonTxWrite(&words_[v]);
       return true;
     }
     return false;
   }
 
   void UnlockShared(VertexId v) {
-    const TmWord prev = __atomic_fetch_sub(&words_[Idx(v)], 1, __ATOMIC_RELEASE);
+    const TmWord prev = __atomic_fetch_sub(&words_[v], 1, __ATOMIC_RELEASE);
     TUFAST_DCHECK((prev & kExclusiveBit) == 0 && (prev & ~kExclusiveBit) > 0);
-    htm_.NotifyNonTxWrite(&words_[Idx(v)]);
+    htm_.NotifyNonTxWrite(&words_[v]);
   }
 
   void UnlockExclusive(VertexId v) {
-    TUFAST_DCHECK(__atomic_load_n(&words_[Idx(v)], __ATOMIC_RELAXED) ==
+    TUFAST_DCHECK(__atomic_load_n(&words_[v], __ATOMIC_RELAXED) ==
                   kExclusiveBit);
-    __atomic_store_n(&words_[Idx(v)], 0, __ATOMIC_RELEASE);
-    htm_.NotifyNonTxWrite(&words_[Idx(v)]);
+    __atomic_store_n(&words_[v], 0, __ATOMIC_RELEASE);
+    htm_.NotifyNonTxWrite(&words_[v]);
   }
 
   /// Current raw word (non-transactional): for O-mode validation.
   TmWord LoadWord(VertexId v) const {
-    return __atomic_load_n(&words_[Idx(v)], __ATOMIC_ACQUIRE);
+    return __atomic_load_n(&words_[v], __ATOMIC_ACQUIRE);
   }
 
  private:
-  size_t Idx(VertexId v) const { return size_t{v} << shift_; }
-
   Htm& htm_;
-  const unsigned shift_;
-  const size_t num_vertices_;
   std::vector<TmWord> words_;
 };
 

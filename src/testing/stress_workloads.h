@@ -549,12 +549,12 @@ struct SchedulerConfigHasCombiningKnob<
 /// Combining counterpart of MakeSchedulerFor: schedulers whose Config has
 /// the combining switch get a deliberately twitchy setup — a tiny history
 /// (heavy bucket aliasing), a hair-trigger hot threshold (a couple of
-/// aborts heat a region) and a 2-slot combiner (organic slot-full
-/// bounces), so the announce/collect protocol sees constant traffic even
-/// in short fuzz runs. `sharded` additionally stacks the awkward sharded
-/// setup from MakeShardedSchedulerFor on top, exercising the
-/// local-list-through-the-combiner composition. Everything else falls
-/// through to the plain constructor.
+/// aborts heat a region) and a 4-message drain batch (hot rings of 4:
+/// organic full-ring bounces), so the ship/drain protocol sees constant
+/// traffic even in short fuzz runs. `sharded` additionally stacks the
+/// awkward sharded setup from MakeShardedSchedulerFor on top, so owner
+/// and hot cells share one run. Everything else falls through to the
+/// plain constructor.
 template <typename Scheduler, typename Htm>
 std::unique_ptr<Scheduler> MakeCombiningSchedulerFor(Htm& htm,
                                                      VertexId vertices,
@@ -568,13 +568,12 @@ std::unique_ptr<Scheduler> MakeCombiningSchedulerFor(Htm& htm,
     }
     config.enable_combining = true;
     config.hot_threshold = 0.05;
-    config.combiner_slots = 2;
+    config.am_batch = 4;
     config.combine_history_buckets = 64;
     if (sharded) {
       config.enable_sharding = true;
       config.shard_workers = static_cast<uint32_t>(workers);
       config.num_shards = static_cast<uint32_t>(workers) + 1;
-      config.am_batch = 8;
       config.mailbox_capacity = 64;
     }
     return std::make_unique<Scheduler>(htm, vertices, config);

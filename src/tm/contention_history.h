@@ -11,7 +11,7 @@
 namespace tufast {
 
 /// Per-vertex (region-bucketed) contention history feeding the combining
-/// router (DESIGN.md "Hot-vertex combining"). The global ContentionMonitor
+/// router (DESIGN.md "Delegation"). The global ContentionMonitor
 /// sees one attempt-abort probability for the whole worker; on power-law
 /// graphs the abort mass concentrates on a handful of hub vertices, and a
 /// global signal can only damp them by slowing everyone down (the PR-5
@@ -86,9 +86,9 @@ class ContentionHistory {
 
   /// Whether `v`'s region is currently flagged hot. One relaxed load —
   /// cheap enough to ask per batch item.
-  bool IsHot(VertexId v) const {
-    return (cells_[BucketOf(v)].word.load(std::memory_order_relaxed) &
-            kHotBit) != 0;
+  bool IsHot(VertexId v) const { return BucketIsHot(BucketOf(v)); }
+  bool BucketIsHot(uint32_t b) const {
+    return (cells_[b].word.load(std::memory_order_relaxed) & kHotBit) != 0;
   }
 
   /// Currently-hot region count (cold full scan; stats/bench reporting).

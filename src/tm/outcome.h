@@ -72,29 +72,26 @@ struct SchedulerStats {
   uint64_t fusion_aborts = 0;      // fused-region attempts that aborted
   uint64_t fusion_bisections = 0;  // abort-driven width halvings
 
-  // Shard-per-core active-message counters (sharding/shard_runtime.h).
+  // Owner-cell active-message counters (tm/delegation.h).
   // `shard_local_items` counts batch items owned by the executing
-  // worker; `shard_kept_local` counts cross-shard items the router kept
-  // local (contention below the ship threshold); `shard_mailbox_full`
-  // counts messages bounced by a full mailbox (executed locally — never
-  // dropped). Sent and drained totals balance globally once every
-  // sender's flush completed.
+  // worker; `shard_mailbox_full` counts messages bounced by a full ring
+  // (executed locally — never dropped). Sent and drained totals balance
+  // globally once every sender's flush completed.
   uint64_t shard_local_items = 0;
-  uint64_t shard_kept_local = 0;
   uint64_t shard_messages_sent = 0;
   uint64_t shard_messages_drained = 0;
   uint64_t shard_drain_batches = 0;
   uint64_t shard_mailbox_full = 0;
   uint64_t shard_max_mailbox_depth = 0;  // max observed at drain entry
 
-  // Hot-vertex flat-combining counters (tm/combiner.h). `combined_ops`
-  // counts operations applied inside collected combine batches (by
-  // whichever worker collected them); `combine_batches` counts those
-  // collect sweeps; `hot_vertices` counts cold->hot region transitions
-  // this worker's history updates observed; `combine_slot_full` counts
-  // announces bounced by a full slot array (executed locally — never
-  // dropped); `combine_max_occupancy` is the largest announced-slot
-  // count found by one collect sweep (announce-queue occupancy).
+  // Hot-cell combining counters (tm/delegation.h). `combined_ops`
+  // counts operations applied inside hot-cell drain batches (by
+  // whichever worker drained them); `combine_batches` counts those
+  // batches; `hot_vertices` counts cold->hot region transitions this
+  // worker's history updates observed; `combine_slot_full` counts
+  // messages bounced by a full hot-cell ring (executed locally — never
+  // dropped); `combine_max_occupancy` is the largest ring depth one
+  // drain found at entry.
   uint64_t combined_ops = 0;
   uint64_t combine_batches = 0;
   uint64_t hot_vertices = 0;
@@ -180,7 +177,6 @@ struct SchedulerStats {
     fusion_aborts += other.fusion_aborts;
     fusion_bisections += other.fusion_bisections;
     shard_local_items += other.shard_local_items;
-    shard_kept_local += other.shard_kept_local;
     shard_messages_sent += other.shard_messages_sent;
     shard_messages_drained += other.shard_messages_drained;
     shard_drain_batches += other.shard_drain_batches;

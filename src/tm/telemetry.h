@@ -99,10 +99,9 @@ struct NullTelemetry {
   void FusedCommit(uint32_t /*width*/, uint32_t /*depth*/, uint64_t /*ops*/) {}
   void FusionAbort(uint32_t /*width*/) {}
   void ShardSend() {}
-  void ShardKeptLocal() {}
   void ShardMailboxFull() {}
   void ShardDrain(uint32_t /*batch*/, uint64_t /*depth*/) {}
-  void CombineBatch(uint32_t /*ops*/, uint32_t /*occupancy*/) {}
+  void CombineBatch(uint32_t /*ops*/, uint64_t /*occupancy*/) {}
   void CombineSlotFull() {}
   void HotVertex() {}
   void BackoffWait(uint64_t /*pauses*/) {}
@@ -156,28 +155,22 @@ struct TelemetrySnapshot {
   LogHistogram fusion_width_hist;     // committed region widths
   LogHistogram bisection_depth_hist;  // width halvings before commit
 
-  /// Shard-per-core active-message breakdown (sharding/): message and
-  /// drain-batch counts plus histograms of drain-batch sizes and the
-  /// mailbox depth observed at each drain entry (the backlog signal).
+  /// Delegation breakdown (tm/delegation.h). Owner cells: message,
+  /// bounce and drain-batch counts. Hot cells: operations applied
+  /// through drain batches, batch counts, full-ring bounces and
+  /// cold->hot region transitions. Both kinds feed the histograms of
+  /// drain-batch sizes and of the ring depth at drain entry (the
+  /// backlog signal).
   uint64_t shard_messages_sent = 0;
-  uint64_t shard_kept_local = 0;
   uint64_t shard_mailbox_full = 0;
   uint64_t shard_messages_drained = 0;
   uint64_t shard_drain_batches = 0;
-  LogHistogram drain_batch_hist;
-  LogHistogram mailbox_depth_hist;
-
-  /// Hot-vertex flat-combining breakdown (tm/combiner.h): operations
-  /// applied through collected combine batches, collect-sweep counts,
-  /// slot-array overflow bounces, cold->hot region transitions, and
-  /// histograms of combine-batch sizes and announce-queue occupancy at
-  /// collect entry.
   uint64_t combined_ops = 0;
   uint64_t combine_batches = 0;
   uint64_t combine_slot_full = 0;
   uint64_t hot_vertices = 0;
-  LogHistogram combine_batch_hist;
-  LogHistogram combine_occupancy_hist;
+  LogHistogram drain_batch_hist;
+  LogHistogram drain_depth_hist;
 
   /// Progress-guard breakdown (tm/progress_guard.h): retry backoffs,
   /// starvation escalations / token grabs, abort-storm breaker state
@@ -310,31 +303,28 @@ class EventTelemetry {
     (void)width;
   }
 
-  /// One cross-shard message enqueued to another worker's shard.
+  /// One cross-shard message enqueued to another worker's owner cell.
   void ShardSend() { ++snap_.shard_messages_sent; }
-  /// One cross-shard item the router kept local (contention below the
-  /// ship threshold — messaging overhead not justified).
-  void ShardKeptLocal() { ++snap_.shard_kept_local; }
-  /// One message bounced by a full mailbox and executed locally instead.
+  /// One message bounced by a full ring and executed locally instead.
   void ShardMailboxFull() { ++snap_.shard_mailbox_full; }
-  /// One drain batch of `batch` messages popped with `depth` messages
-  /// visible in the mailbox at drain entry.
+  /// One owner-cell drain batch of `batch` messages popped with `depth`
+  /// messages visible in the ring at drain entry.
   void ShardDrain(uint32_t batch, uint64_t depth) {
     ++snap_.shard_drain_batches;
     snap_.shard_messages_drained += batch;
     snap_.drain_batch_hist.Add(batch);
-    snap_.mailbox_depth_hist.Add(depth);
+    snap_.drain_depth_hist.Add(depth);
   }
 
-  /// One combine-collect sweep applied `ops` announced operations after
-  /// finding `occupancy` slots announced at collect entry.
-  void CombineBatch(uint32_t ops, uint32_t occupancy) {
+  /// One hot-cell drain batch applied `ops` operations after finding
+  /// `occupancy` messages queued at drain entry.
+  void CombineBatch(uint32_t ops, uint64_t occupancy) {
     ++snap_.combine_batches;
     snap_.combined_ops += ops;
-    snap_.combine_batch_hist.Add(ops);
-    snap_.combine_occupancy_hist.Add(occupancy);
+    snap_.drain_batch_hist.Add(ops);
+    snap_.drain_depth_hist.Add(occupancy);
   }
-  /// One announce bounced by a full slot array (op executed locally).
+  /// One hot-cell message bounced by a full ring (op executed locally).
   void CombineSlotFull() { ++snap_.combine_slot_full; }
   /// One contention-history region transitioned cold -> hot.
   void HotVertex() { ++snap_.hot_vertices; }
@@ -401,18 +391,15 @@ class EventTelemetry {
     snap_.fusion_width_hist.Merge(o.fusion_width_hist);
     snap_.bisection_depth_hist.Merge(o.bisection_depth_hist);
     snap_.shard_messages_sent += o.shard_messages_sent;
-    snap_.shard_kept_local += o.shard_kept_local;
     snap_.shard_mailbox_full += o.shard_mailbox_full;
     snap_.shard_messages_drained += o.shard_messages_drained;
     snap_.shard_drain_batches += o.shard_drain_batches;
-    snap_.drain_batch_hist.Merge(o.drain_batch_hist);
-    snap_.mailbox_depth_hist.Merge(o.mailbox_depth_hist);
     snap_.combined_ops += o.combined_ops;
     snap_.combine_batches += o.combine_batches;
     snap_.combine_slot_full += o.combine_slot_full;
     snap_.hot_vertices += o.hot_vertices;
-    snap_.combine_batch_hist.Merge(o.combine_batch_hist);
-    snap_.combine_occupancy_hist.Merge(o.combine_occupancy_hist);
+    snap_.drain_batch_hist.Merge(o.drain_batch_hist);
+    snap_.drain_depth_hist.Merge(o.drain_depth_hist);
     snap_.backoff_events += o.backoff_events;
     snap_.backoff_pauses += o.backoff_pauses;
     snap_.starvation_escalations += o.starvation_escalations;

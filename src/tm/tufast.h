@@ -15,14 +15,12 @@
 #include "durability/wal.h"
 #include "htm/emulated_htm.h"
 #include "mvcc/version_store.h"
-#include "sharding/shard_runtime.h"
-#include "sharding/sharded_lock_table.h"
 #include "sync/lock_manager.h"
 #include "sync/lock_table.h"
+#include "tm/addr_map.h"
 #include "tm/batch_executor.h"
-#include "tm/combiner.h"
-#include "tm/contention_history.h"
 #include "tm/contention_monitor.h"
+#include "tm/delegation.h"
 #include "tm/modes.h"
 #include "tm/outcome.h"
 #include "tm/progress_guard.h"
@@ -58,18 +56,15 @@ namespace tufast {
 /// Thread model: worker ids in [0, kMaxHtmThreads) map 1:1 to OS threads;
 /// each id's per-worker state must only ever be used by one thread.
 ///
-/// `Table` plugs the conflict-space table: the classic shared LockTable
-/// (default — bit-for-bit the pre-sharding scheduler) or the per-shard
-/// ShardedLockTable. Orthogonally, Config::enable_sharding activates the
-/// shard-per-core *routing* layer (sharding/): RunBatch items whose home
-/// vertex is owned by another worker are enqueued to the owner's mailbox
-/// as atomic active messages and drained there as one group-commit
-/// batch; everything else runs locally. Because every worker can reach
-/// every table word, routing is a pure locality/contention optimization
-/// — any item may always fall back to local execution (full mailbox,
-/// ship threshold), and results are independent of where items ran.
-template <typename Htm, typename Telemetry = NullTelemetry,
-          typename Table = LockTable<Htm>>
+/// Config::enable_sharding and Config::enable_combining turn on the
+/// delegation layer (tm/delegation.h): RunBatch items whose home vertex
+/// another worker owns, or whose home region is hot, are shipped as
+/// atomic active messages to a cell whose drainer applies them as one
+/// group-commit batch; everything else runs locally. Every worker can
+/// reach every lock word, so delegation is a pure locality/contention
+/// optimization — any item may always fall back to local execution (a
+/// full ring), and results are independent of where items ran.
+template <typename Htm, typename Telemetry = NullTelemetry>
 class TuFastScheduler {
  public:
   /// Fault-injection policy inherited from the HTM backend; Null (free)
@@ -117,12 +112,6 @@ class TuFastScheduler {
     /// Non-zero pins the fusion width (bench fusion-width sweep);
     /// 0 = adaptive.
     uint32_t fixed_fusion_width = 0;
-    /// Give every vertex lock word its own cache line (sync/lock_table.h)
-    /// to kill false sharing between adjacent vertices, at 8x the lock
-    /// table footprint. Off by default: the dense layout wins whenever
-    /// fused windows touch neighboring vertices (one line subscribes
-    /// eight lock words).
-    bool padded_lock_table = false;
     /// Progress guard (tm/progress_guard.h, DESIGN.md "Progress guard").
     /// enable_backoff gates the randomized exponential backoff between
     /// conflict retries in all three loops (H attempts, O period
@@ -138,9 +127,9 @@ class TuFastScheduler {
     /// attempt-abort rate routes small transactions straight to L and
     /// clamps fusion to width 1 until half-open probes recover.
     bool enable_breaker = true;
-    /// Shard-per-core ownership layer (sharding/, DESIGN.md "Sharding
-    /// and atomic active messages"). Off by default: the unsharded
-    /// RunBatch path stays bit-for-bit the pre-sharding executor.
+    /// Shard-per-core ownership (tm/delegation.h owner cells, DESIGN.md
+    /// "Delegation"). Off by default: the RunBatch path stays bit-for-bit
+    /// the undelegated executor.
     bool enable_sharding = false;
     /// Shard count (0 = one shard per owning worker).
     uint32_t num_shards = 0;
@@ -148,18 +137,13 @@ class TuFastScheduler {
     /// Benches set this to the thread count; worker ids >= shard_workers
     /// own no shard and only ever send.
     uint32_t shard_workers = 1;
-    /// Max messages fused into one group-commit drain batch.
+    /// Max messages fused into one group-commit drain batch; also the
+    /// ring capacity of each hot cell.
     uint32_t am_batch = 32;
-    /// Per-shard mailbox capacity (rounded up to a power of two). A full
-    /// mailbox bounces the message back to local execution — messages
-    /// are never dropped.
+    /// Owner-cell ring capacity (rounded up to a power of two). A full
+    /// ring bounces the message back to local execution — messages are
+    /// never dropped.
     uint32_t mailbox_capacity = 1024;
-    /// Router ship threshold (ContentionMonitor-informed): cross-shard
-    /// items are shipped as messages only while the worker's monitored
-    /// attempt-abort rate is >= this; below it they run locally, since
-    /// messaging overhead buys nothing without contention. 0.0 ships
-    /// every cross-shard item.
-    double shard_ship_abort_rate = 0.0;
     /// MVCC snapshot reads (mvcc/version_store.h, DESIGN.md "MVCC
     /// snapshot reads"). Off by default: the non-MVCC path stays
     /// bit-identical to a build with no version store at all (the
@@ -182,33 +166,28 @@ class TuFastScheduler {
     std::string wal_path;
     /// fsync policy for the owned group-commit writer.
     WalSyncPolicy wal_sync = WalSyncPolicy::kFsyncEachCommit;
-    /// Hot-vertex flat combining (tm/combiner.h, DESIGN.md "Hot-vertex
-    /// combining"). Off by default: the batch paths stay bit-for-bit the
-    /// pre-combining executor (the equivalence suites rely on this). On,
-    /// a per-region contention history (tm/contention_history.h) watches
-    /// per-item attempt outcomes; batch items homed in a hot region are
-    /// announced to the region's combiner cell and applied by whichever
-    /// worker collects them as ONE fused group-commit batch, instead of
-    /// competing (and aborting) against every other worker's copy of the
-    /// same hub traffic.
+    /// Hot-vertex combining (tm/delegation.h hot cells, DESIGN.md
+    /// "Delegation"). Off by default: the batch paths stay bit-for-bit
+    /// the undelegated executor (the equivalence suites rely on this).
+    /// On, a per-region contention history (tm/contention_history.h)
+    /// watches per-item attempt outcomes; batch items homed in a hot
+    /// region are shipped to the region's hot cell and applied by
+    /// whichever worker drains it as ONE fused group-commit batch,
+    /// instead of competing (and aborting) against every other worker's
+    /// copy of the same hub traffic.
     bool enable_combining = false;
     /// EWMA attempt-abort fraction (0, 1] at which a region turns hot;
     /// it cools only below half this (hysteresis against flapping).
     double hot_threshold = 0.5;
-    /// Announce slots per combiner cell. A full slot array bounces the
-    /// announce back to local execution — operations are never dropped.
-    uint32_t combiner_slots = 8;
     /// Contention-history region buckets (rounded up to a power of two);
-    /// one combiner cell per bucket.
+    /// one hot cell per bucket.
     uint32_t combine_history_buckets = 1024;
   };
 
   TuFastScheduler(Htm& htm, VertexId num_vertices, Config config = {})
       : htm_(htm),
         config_(config),
-        lock_table_(htm, num_vertices,
-                    LockTableOptions{config.padded_lock_table,
-                                     ResolvedShards(config)}),
+        lock_table_(htm, num_vertices),
         lock_manager_(lock_table_, config.deadlock_policy),
         h_hint_threshold_(config.h_hint_threshold != 0
                               ? config.h_hint_threshold
@@ -239,15 +218,16 @@ class TuFastScheduler {
       TUFAST_CHECK(owned_wal_->ok());
       wal_sink_ = owned_wal_.get();
     }
-    if (config_.enable_sharding) {
-      sharding_ = std::make_unique<ShardRuntime>(ShardRuntime::Options{
-          num_vertices, ResolvedShards(config_), ResolvedWorkers(config_),
-          config_.mailbox_capacity});
-    }
-    if (config_.enable_combining) {
-      combining_ = std::make_unique<CombinerRuntime>(CombinerRuntime::Options{
-          config_.combine_history_buckets, config_.hot_threshold,
-          config_.combiner_slots});
+    if (config_.enable_sharding || config_.enable_combining) {
+      delegation_ = std::make_unique<Delegation>(Delegation::Options{
+          .sharding = config_.enable_sharding,
+          .num_shards = config_.num_shards,
+          .shard_workers = config_.shard_workers,
+          .mailbox_capacity = config_.mailbox_capacity,
+          .combining = config_.enable_combining,
+          .history_buckets = config_.combine_history_buckets,
+          .hot_threshold = config_.hot_threshold,
+          .am_batch = config_.am_batch});
     }
     lock_manager_.SetProgressSignals(&progress_guard_.signals());
     if constexpr (Telemetry::kEnabled) {
@@ -306,17 +286,15 @@ class TuFastScheduler {
   }
 
   /// Home-aware batch execution: `home(i)` maps item `i` to its home
-  /// vertex (batch_executor.h). Without sharding the mapping is unused
-  /// and this is exactly the overload above; with Config::enable_sharding
-  /// it drives the local-vs-message routing decision.
+  /// vertex (batch_executor.h). Without sharding or combining the
+  /// mapping is unused and this is exactly the overload above; with
+  /// either, it drives the delegation routing decision.
   template <typename HintFn, typename HomeFn, typename BodyFn>
   void RunBatch(int worker_id, uint64_t lo, uint64_t hi, HintFn&& hint,
                 HomeFn&& home, BodyFn&& body) {
     Worker& w = runtime_.GetWorker(worker_id, *this);
-    if (sharding_ != nullptr) {
-      RunBatchSharded(w, worker_id, lo, hi, hint, home, body);
-    } else if (combining_ != nullptr) {
-      RunBatchCombined(w, worker_id, lo, hi, hint, home, body);
+    if (delegation_ != nullptr) {
+      RunBatchDelegated(w, worker_id, lo, hi, hint, home, body);
     } else {
       RunBatchWindowed(w, worker_id, lo, hi, hint, body);
     }
@@ -365,8 +343,8 @@ class TuFastScheduler {
     }
 
     typename Htm::Tx htx;
-    OTxn<Htm, Table> otxn;
-    LTxn<Htm, Table> ltxn;
+    OTxn<Htm> otxn;
+    LTxn<Htm> ltxn;
     ContentionMonitor monitor;
     /// H-mode MVCC write-set recording (unused unless enable_mvcc).
     MvccRecorder recorder;
@@ -376,31 +354,22 @@ class TuFastScheduler {
     /// Last breaker state this worker's telemetry was told about; the
     /// router diffs against the monitor to emit transition events.
     BreakerState last_breaker = BreakerState::kClosed;
-    /// Sharded-path scratch (only touched when sharding is enabled):
-    /// the local item list, the drained message batch plus its
-    /// duplicate-home flags, and the shards this batch call sent to.
+    /// Delegation scratch (only touched when sharding or combining is
+    /// on): the local item list, the cells this batch call sent to, and
+    /// one drain batch with its homes and duplicate-home flags.
     std::vector<uint64_t> local_items;
+    std::vector<uint32_t> sent_cells;
     std::vector<ActiveMessage> drain_batch;
+    std::vector<VertexId> drain_homes;
     std::vector<uint8_t> drain_dup;
-    std::vector<uint32_t> sent_shards;
-    std::vector<uint8_t> sent_flags;
-    /// Combining-path scratch (only touched when combining is enabled):
-    /// the cold item list, the (cell, slot) pairs this batch call
-    /// announced, and the collect sweep's message/dedup/taken-slot
-    /// buffers.
-    std::vector<uint64_t> combine_cold;
-    std::vector<uint64_t> combine_announced;
-    std::vector<ActiveMessage> combine_batch;
-    std::vector<VertexId> combine_homes;
-    std::vector<uint8_t> combine_dup;
-    std::vector<uint32_t> combine_taken;
+    AddrMap drain_seen{64};
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
 
   /// Per-item outcome observer for the windowed core. The default is a
-  /// compile-time no-op (the pre-combining code paths are untouched);
-  /// the combining path installs HistoryProbe so every per-item routing
+  /// compile-time no-op (the undelegated code paths are untouched);
+  /// combining installs HistoryProbe so every per-item routing
   /// outcome — and every item inside a committed fused window — feeds
   /// the per-region contention history.
   struct NullItemProbe {
@@ -408,12 +377,11 @@ class TuFastScheduler {
     void Attempt(uint64_t /*i*/, bool /*aborted*/) {}
   };
 
-  /// The unsharded batch core: capacity-aware window formation +
-  /// abort-driven bisection over items [lo, hi). Also the execution
-  /// engine for the sharded path's local half, drain batches, and
-  /// combine batches (via an index indirection), which is what keeps
-  /// sharded and unsharded execution bit-identical when everything
-  /// routes local.
+  /// The batch core: capacity-aware window formation + abort-driven
+  /// bisection over items [lo, hi). Also the execution engine for the
+  /// delegation path's local list and drain batches (via an index
+  /// indirection), which is what keeps delegated and undelegated
+  /// execution bit-identical when everything routes local.
   template <typename HintFn, typename BodyFn, typename Probe = NullItemProbe>
   void RunBatchWindowed(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
                         HintFn& hint, BodyFn& body, Probe probe = {}) {
@@ -467,11 +435,11 @@ class TuFastScheduler {
   /// carries (frame, item), and the drainer re-enters the sender's body
   /// through the frame's vtable with whichever mode context its own
   /// router picked. The frame lives on the sender's stack; the sender's
-  /// flush phase guarantees it outlives every message that points at it.
+  /// flush step keeps it alive until `pending` returns to 0.
   struct MessageVTable {
-    void (*run_h)(void* body, HTxn<Htm, Table>& txn, uint64_t item);
-    void (*run_o)(void* body, OTxn<Htm, Table>& txn, uint64_t item);
-    void (*run_l)(void* body, LTxn<Htm, Table>& txn, uint64_t item);
+    void (*run_h)(void* body, HTxn<Htm>& txn, uint64_t item);
+    void (*run_o)(void* body, OTxn<Htm>& txn, uint64_t item);
+    void (*run_l)(void* body, LTxn<Htm>& txn, uint64_t item);
     uint64_t (*hint)(void* hint_fn, uint64_t item);
     VertexId (*home)(void* home_fn, uint64_t item);
   };
@@ -480,6 +448,12 @@ class TuFastScheduler {
     void* body;
     void* hint;
     void* home;
+    /// Shipped messages not yet executed. The sender adds its shipped
+    /// count once routing is done; each drainer subtracts (release) after
+    /// the message committed, as its last touch of the frame. Drains may
+    /// land before the add, so the count is signed: it reads 0 after the
+    /// add exactly when every shipped message has run.
+    mutable std::atomic<int64_t> pending{0};
   };
 
   template <typename HintFn, typename HomeFn, typename BodyFn>
@@ -488,13 +462,13 @@ class TuFastScheduler {
     using Home = std::remove_reference_t<HomeFn>;
     using Body = std::remove_reference_t<BodyFn>;
     static const MessageVTable vt{
-        [](void* body, HTxn<Htm, Table>& txn, uint64_t item) {
+        [](void* body, HTxn<Htm>& txn, uint64_t item) {
           (*static_cast<Body*>(body))(txn, item);
         },
-        [](void* body, OTxn<Htm, Table>& txn, uint64_t item) {
+        [](void* body, OTxn<Htm>& txn, uint64_t item) {
           (*static_cast<Body*>(body))(txn, item);
         },
-        [](void* body, LTxn<Htm, Table>& txn, uint64_t item) {
+        [](void* body, LTxn<Htm>& txn, uint64_t item) {
           (*static_cast<Body*>(body))(txn, item);
         },
         [](void* hint_fn, uint64_t item) -> uint64_t {
@@ -510,154 +484,167 @@ class TuFastScheduler {
     return *static_cast<const BatchFrame*>(m.frame);
   }
 
-  /// Local-vs-message routing rule: a cross-shard item ships only while
-  /// the worker's monitored attempt-abort rate clears the configured
-  /// threshold — under low contention remote locking is cheap and the
-  /// messaging overhead buys nothing (DyAdHyTM's mode-adaptive insight).
-  bool ShouldShip(Worker& w) const {
-    return config_.shard_ship_abort_rate <= 0.0 ||
-           w.state.monitor.AttemptAbortRate() >= config_.shard_ship_abort_rate;
-  }
+  /// Contention-history feed for the local list when combining is on:
+  /// maps a per-item routing outcome back to the item's home vertex and
+  /// records it, counting cold->hot transitions in the worker's stats.
+  template <typename HomeFn>
+  struct HistoryProbe {
+    static constexpr bool kEnabled = true;
+    ContentionHistory* history;
+    Worker* w;
+    const std::vector<uint64_t>* items;
+    HomeFn* home;
 
-  /// The sharded batch protocol. Phases, in order:
-  ///  1. route: owned or kept-local items accumulate in an index list;
-  ///     cross-shard items are enqueued to the owner shard's mailbox
-  ///     (a full mailbox bounces the item back to the local list);
-  ///  2. execute the local list through the shared windowed core;
-  ///  3. drain the mailboxes of the shards this worker owns;
-  ///  4. flush: spin — helping drain — until every shard we sent to has
-  ///     no pending messages, so our stack frame may die.
-  /// Deadlock-free: drains never nest (a drained body cannot enqueue),
+    void Attempt(uint64_t k, bool aborted) {
+      if (history->RecordAttempt((*home)((*items)[k]), aborted)) {
+        RecordHotVertex(*w);
+      }
+    }
+  };
+
+  /// The delegation batch protocol (DESIGN.md "Delegation"). Steps:
+  ///  1. route: each item runs locally or ships to the cell
+  ///     Delegation::Route names; a full ring bounces it back to the
+  ///     local list — never dropped;
+  ///  2. run the local list through the windowed core, feeding the
+  ///     contention history when combining is on;
+  ///  3. drain the owner cells this worker owns;
+  ///  4. flush: help drain the cells this call sent to until the frame's
+  ///     pending count reads 0, so the frame may die.
+  /// Deadlock-free: drains never nest (a drained body cannot ship),
   /// flushers hold no locks while spinning, and a drain-lock holder only
   /// executes transactions, which the progress guard bounds.
   template <typename HintFn, typename HomeFn, typename BodyFn>
-  void RunBatchSharded(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
-                       HintFn& hint, HomeFn& home, BodyFn& body) {
-    ShardRuntime& rt = *sharding_;
-    const ShardMap& map = rt.map();
+  void RunBatchDelegated(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
+                         HintFn& hint, HomeFn& home, BodyFn& body) {
+    Delegation& d = *delegation_;
     BatchFrame frame{VTableFor<HintFn, HomeFn, BodyFn>(),
                      const_cast<void*>(static_cast<const void*>(&body)),
                      const_cast<void*>(static_cast<const void*>(&hint)),
                      const_cast<void*>(static_cast<const void*>(&home))};
     auto& local = w.state.local_items;
     local.clear();
-    auto& sent = w.state.sent_shards;
+    auto& sent = w.state.sent_cells;
     sent.clear();
-    auto& sent_flags = w.state.sent_flags;
-    if (sent_flags.size() < rt.num_shards()) {
-      sent_flags.assign(rt.num_shards(), 0);
-    }
 
+    int64_t shipped = 0;
+    uint64_t to_owners = 0;
     for (uint64_t i = lo; i < hi; ++i) {
-      const uint32_t s = map.ShardOf(home(i));
-      if (map.OwnerWorker(s) == static_cast<uint32_t>(worker_id)) {
-        ++w.stats.shard_local_items;
+      const uint32_t c = d.Route(home(i), static_cast<uint32_t>(worker_id));
+      if (c == Delegation::kLocal) {
         local.push_back(i);
         continue;
       }
-      if (!ShouldShip(w)) {
-        ++w.stats.shard_kept_local;
-        w.telemetry.ShardKeptLocal();
-        local.push_back(i);
-        continue;
-      }
+      const bool hot = d.IsHotCell(c);
+      if (!hot) ++to_owners;
       bool full = false;
       if constexpr (Failpoints::kEnabled) {
         full = Failpoints::Hit(FailSite::kMailboxFull, worker_id) ==
                FailAction::kFail;
       }
-      Shard& sh = rt.shard(s);
-      if (!full) {
-        // Bump pending *before* publishing so a flusher can never read
-        // zero while this message is enqueued-but-unexecuted.
-        sh.pending.fetch_add(1, std::memory_order_relaxed);
-        if (sh.mailbox.TryEnqueue(ActiveMessage{&frame, i})) {
+      if (!full && d.cell(c).ring.TryEnqueue(ActiveMessage{&frame, i})) {
+        ++shipped;
+        if (!hot) {
           ++w.stats.shard_messages_sent;
           w.telemetry.ShardSend();
-          if (sent_flags[s] == 0) {
-            sent_flags[s] = 1;
-            sent.push_back(s);
-          }
-          continue;
         }
-        sh.pending.fetch_sub(1, std::memory_order_relaxed);
-        full = true;
+        // A batch touches few distinct cells: hot regions are rare and
+        // shards are per worker.
+        if (std::find(sent.begin(), sent.end(), c) == sent.end()) {
+          sent.push_back(c);
+        }
+        continue;
       }
-      ++w.stats.shard_mailbox_full;
-      w.telemetry.ShardMailboxFull();
+      if (hot) {
+        RecordCombineSlotFull(w);
+      } else {
+        ++w.stats.shard_mailbox_full;
+        w.telemetry.ShardMailboxFull();
+      }
       local.push_back(i);
+    }
+    if (d.shard_map() != nullptr) {
+      w.stats.shard_local_items += (hi - lo) - to_owners;
+    }
+    if (shipped != 0) {
+      frame.pending.fetch_add(shipped, std::memory_order_relaxed);
     }
 
     auto lhint = [&](uint64_t k) { return hint(local[k]); };
     auto lbody = [&](auto& txn, uint64_t k) { body(txn, local[k]); };
-    if (combining_ != nullptr) {
-      // Shard routing composes with combining: cross-shard items were
-      // already shipped to their owner (whose drain fuses them); what
-      // stayed local goes through hot-vertex detection so a hub this
-      // worker owns still combines instead of competing.
-      auto lhome = [&](uint64_t k) { return home(local[k]); };
-      RunBatchCombined(w, worker_id, 0, local.size(), lhint, lhome, lbody);
+    if (d.history() != nullptr) {
+      HistoryProbe<HomeFn> probe{d.history(), &w, &local, &home};
+      RunBatchWindowed(w, worker_id, 0, local.size(), lhint, lbody, probe);
     } else {
       RunBatchWindowed(w, worker_id, 0, local.size(), lhint, lbody);
     }
 
-    for (const uint32_t s : rt.OwnedShards(worker_id)) {
-      DrainShard(w, worker_id, s);
-    }
+    for (const uint32_t c : d.OwnedCells(worker_id)) Drain(w, worker_id, c);
 
-    for (const uint32_t s : sent) {
-      sent_flags[s] = 0;
-      Shard& sh = rt.shard(s);
-      Backoff backoff;
-      while (sh.pending.load(std::memory_order_acquire) != 0) {
-        if (!DrainShard(w, worker_id, s)) backoff.Pause();
-      }
+    Backoff backoff;
+    while (frame.pending.load(std::memory_order_acquire) != 0) {
+      bool drained = false;
+      for (const uint32_t c : sent) drained |= Drain(w, worker_id, c);
+      if (!drained) backoff.Pause();
     }
   }
 
-  /// Drains one shard's mailbox: pop up to am_batch messages under the
-  /// drain lock and execute them as one group-commit batch through the
-  /// windowed core (fused H regions, bisection, per-item fallback — the
-  /// PR 4 executor is the drain vehicle). Returns whether any message
-  /// was executed. Cold: called between batches, never inside a body.
-  TUFAST_NOINLINE_COLD bool DrainShard(Worker& w, int worker_id, uint32_t s) {
-    Shard& sh = sharding_->shard(s);
-    if (sh.mailbox.Empty()) return false;
-    if (!sh.drain_lock.TryLock()) return false;
-    bool any = false;
+  /// Drains one cell: under its drain lock, pop up to am_batch messages
+  /// and execute them as one group-commit batch through the windowed
+  /// core (fused H regions, bisection, per-item fallback), until the
+  /// ring is empty. A hot-cell batch then feeds the contention history.
+  /// Returns whether any message was executed. Cold: called between
+  /// batches, never inside a body.
+  TUFAST_NOINLINE_COLD bool Drain(Worker& w, int worker_id, uint32_t c) {
+    Delegation& d = *delegation_;
+    DelegationCell& cell = d.cell(c);
+    if (cell.ring.Empty() || !cell.drain_lock.TryLock()) return false;
+    const bool hot = d.IsHotCell(c);
     auto& batch = w.state.drain_batch;
+    auto& homes = w.state.drain_homes;
     auto& dup = w.state.drain_dup;
-    const uint32_t am_batch = config_.am_batch == 0 ? 1 : config_.am_batch;
+    bool any = false;
     while (true) {
-      const uint64_t depth = sh.mailbox.ApproxDepth();
+      uint32_t limit = config_.am_batch == 0 ? 1 : config_.am_batch;
+      bool handoff = false;
+      if constexpr (Failpoints::kEnabled) {
+        // Forced owner handoff: take one message, then release the drain
+        // lock with the rest still queued — a spinning sender becomes
+        // the next drainer.
+        if (Failpoints::Hit(FailSite::kOwnerHandoff, worker_id) ==
+            FailAction::kFail) {
+          limit = 1;
+          handoff = true;
+        }
+      }
+      const uint64_t depth = cell.ring.ApproxDepth();
       batch.clear();
       ActiveMessage m;
-      while (batch.size() < am_batch && sh.mailbox.TryDequeue(&m)) {
+      while (batch.size() < limit && cell.ring.TryDequeue(&m)) {
         batch.push_back(m);
       }
       if (batch.empty()) break;
       any = true;
       if constexpr (Failpoints::kEnabled) {
         // Adversarial delivery order: rotate the batch one position.
-        // Safe under the independently-idempotent RunBatch contract;
-        // the stress_fuzz shard-chaos sweep checks invariants hold.
+        // Safe under the independently-idempotent RunBatch contract.
         if (batch.size() > 1 &&
             Failpoints::Hit(FailSite::kMessageReorder, worker_id) ==
                 FailAction::kFail) {
           std::rotate(batch.begin(), batch.begin() + 1, batch.end());
         }
       }
-      // Per-shard AddrMap dedup: a drain batch often carries several
-      // messages for the same hub vertex; its footprint hint should
-      // count once per fused window, not once per message.
-      sh.window_vertices.Clear();
+      // A batch often carries several messages for the same hub vertex;
+      // its footprint hint should count once per fused window.
+      homes.clear();
       dup.assign(batch.size(), 0);
+      w.state.drain_seen.Clear();
       for (size_t k = 0; k < batch.size(); ++k) {
         const BatchFrame& f = FrameOf(batch[k]);
+        homes.push_back(f.vt->home(f.home, batch[k].item));
         bool inserted;
-        sh.window_vertices.FindOrInsert(
-            uintptr_t{f.vt->home(f.home, batch[k].item)} + 1,
-            static_cast<uint32_t>(k), &inserted);
+        w.state.drain_seen.FindOrInsert(uintptr_t{homes[k]} + 1,
+                                        static_cast<uint32_t>(k), &inserted);
         if (!inserted) dup[k] = 1;
       }
       auto dhint = [&](uint64_t k) -> uint64_t {
@@ -666,223 +653,41 @@ class TuFastScheduler {
         return f.vt->hint(f.hint, batch[k].item);
       };
       auto dbody = [&](auto& txn, uint64_t k) {
-        const ActiveMessage& msg = batch[k];
-        const BatchFrame& f = FrameOf(msg);
+        const BatchFrame& f = FrameOf(batch[k]);
         using TxnT = std::remove_cvref_t<decltype(txn)>;
-        if constexpr (std::is_same_v<TxnT, HTxn<Htm, Table>>) {
-          f.vt->run_h(f.body, txn, msg.item);
-        } else if constexpr (std::is_same_v<TxnT, OTxn<Htm, Table>>) {
-          f.vt->run_o(f.body, txn, msg.item);
+        if constexpr (std::is_same_v<TxnT, HTxn<Htm>>) {
+          f.vt->run_h(f.body, txn, batch[k].item);
+        } else if constexpr (std::is_same_v<TxnT, OTxn<Htm>>) {
+          f.vt->run_o(f.body, txn, batch[k].item);
         } else {
-          f.vt->run_l(f.body, txn, msg.item);
+          f.vt->run_l(f.body, txn, batch[k].item);
         }
       };
       RunBatchWindowed(w, worker_id, 0, batch.size(), dhint, dbody);
-      RecordShardDrain(w, static_cast<uint32_t>(batch.size()), depth);
-      sh.pending.fetch_sub(batch.size(), std::memory_order_release);
-    }
-    sh.drain_lock.Unlock();
-    return any;
-  }
-
-  /// Contention-history feed for the combining path's cold half: maps a
-  /// per-item routing outcome back to the item's home vertex and records
-  /// it, counting cold->hot transitions in the observing worker's stats.
-  template <typename HomeFn>
-  struct HistoryProbe {
-    static constexpr bool kEnabled = true;
-    TuFastScheduler* self;
-    Worker* w;
-    const std::vector<uint64_t>* items;
-    HomeFn* home;
-
-    void Attempt(uint64_t k, bool aborted) {
-      const VertexId v = (*home)((*items)[k]);
-      if (self->combining_->history().RecordAttempt(v, aborted)) {
-        RecordHotVertex(*w);
+      const auto n = static_cast<uint32_t>(batch.size());
+      if (hot) {
+        RecordCombineBatch(w, n, depth);
+        // More than one queued operation is direct evidence they would
+        // have conflicted competitively — keep the region hot. Singleton
+        // batches record a clean attempt, so a region whose storm has
+        // passed cools (hysteresis lives in the history).
+        for (const VertexId v : homes) d.history()->RecordAttempt(v, n > 1);
+      } else {
+        RecordShardDrain(w, n, depth);
       }
-    }
-  };
-
-  /// The combining batch protocol (DESIGN.md "Hot-vertex combining").
-  /// Phases, in order:
-  ///  1. route: items homed in a hot region are announced to the
-  ///     region's combiner cell (a full slot array bounces the item to
-  ///     the cold list — never dropped); everything else is cold;
-  ///  2. execute the cold list through the shared windowed core, with
-  ///     per-item outcomes feeding the contention history — cold work
-  ///     also buys announced slots time to accumulate peers;
-  ///  3. flush: for each announced slot, spin — helping collect the
-  ///     cell — until the slot reaches kApplied, then free it; only
-  ///     then may the stack frame behind the announcements die.
-  /// Deadlock-free: a collector holds one cell owner lock and only
-  /// executes transactions (it never waits on a slot), and a flusher
-  /// holds no locks while spinning — there is no hold-and-wait cycle.
-  template <typename HintFn, typename HomeFn, typename BodyFn>
-  void RunBatchCombined(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
-                        HintFn& hint, HomeFn& home, BodyFn& body) {
-    CombinerRuntime& cr = *combining_;
-    BatchFrame frame{VTableFor<HintFn, HomeFn, BodyFn>(),
-                     const_cast<void*>(static_cast<const void*>(&body)),
-                     const_cast<void*>(static_cast<const void*>(&hint)),
-                     const_cast<void*>(static_cast<const void*>(&home))};
-    auto& cold = w.state.combine_cold;
-    cold.clear();
-    auto& announced = w.state.combine_announced;
-    announced.clear();
-
-    for (uint64_t i = lo; i < hi; ++i) {
-      const VertexId v = home(i);
-      if (cr.history().IsHot(v)) {
-        bool full = false;
-        if constexpr (Failpoints::kEnabled) {
-          full = Failpoints::Hit(FailSite::kCombinerSlotFull, worker_id) ==
-                 FailAction::kFail;
-        }
-        if (!full) {
-          const uint32_t c = cr.CellOf(v);
-          const int slot = cr.Announce(c, &frame, i);
-          if (slot >= 0) {
-            announced.push_back((uint64_t{c} << 32) |
-                                static_cast<uint32_t>(slot));
-            continue;
-          }
-        }
-        RecordCombineSlotFull(w);
-      }
-      cold.push_back(i);
-    }
-
-    {
-      auto chint = [&](uint64_t k) { return hint(cold[k]); };
-      auto cbody = [&](auto& txn, uint64_t k) { body(txn, cold[k]); };
-      HistoryProbe<HomeFn> probe{this, &w, &cold, &home};
-      RunBatchWindowed(w, worker_id, 0, cold.size(), chint, cbody, probe);
-    }
-
-    for (const uint64_t e : announced) {
-      const uint32_t c = static_cast<uint32_t>(e >> 32);
-      CombineSlot& s = cr.slots(c)[static_cast<uint32_t>(e)];
-      Backoff backoff;
-      while (s.state.load(std::memory_order_acquire) != kCombineSlotApplied) {
-        if (!CollectCell(w, worker_id, c)) backoff.Pause();
-      }
-      s.state.store(kCombineSlotEmpty, std::memory_order_release);
-    }
-  }
-
-  /// Collects one combiner cell: under the cell's owner lock, sweep the
-  /// announce slots, take every kReady operation, and apply the set as
-  /// one group-commit batch through the windowed core (fused H regions,
-  /// bisection, per-item fallback). Returns whether any operation was
-  /// applied. Cold: called between batches and from flush spins, never
-  /// inside a transaction body.
-  TUFAST_NOINLINE_COLD bool CollectCell(Worker& w, int worker_id, uint32_t c) {
-    CombinerRuntime& cr = *combining_;
-    CombinerCell& cell = cr.cell(c);
-    if (!cell.owner_lock.TryLock()) return false;
-    bool any = false;
-    CombineSlot* slots = cr.slots(c);
-    const uint32_t nslots = cr.slots_per_cell();
-    auto& msgs = w.state.combine_batch;
-    auto& homes = w.state.combine_homes;
-    auto& dup = w.state.combine_dup;
-    auto& taken = w.state.combine_taken;
-    while (true) {
-      uint32_t occupancy = 0;
-      for (uint32_t k = 0; k < nslots; ++k) {
-        if (slots[k].state.load(std::memory_order_acquire) ==
-            kCombineSlotReady) {
-          ++occupancy;
-        }
-      }
-      if (occupancy == 0) break;
-      uint32_t limit = occupancy;
-      bool handoff = false;
-      if constexpr (Failpoints::kEnabled) {
-        // Forced owner handoff mid-collect: take only the first announced
-        // operation, then release the lock with ready slots remaining —
-        // a spinning announcer becomes the new owner for the rest.
-        if (Failpoints::Hit(FailSite::kOwnerHandoff, worker_id) ==
-            FailAction::kFail) {
-          limit = 1;
-          handoff = true;
-        }
-      }
-      msgs.clear();
-      taken.clear();
-      for (uint32_t k = 0; k < nslots && msgs.size() < limit; ++k) {
-        uint32_t expected = kCombineSlotReady;
-        if (slots[k].state.compare_exchange_strong(
-                expected, kCombineSlotTaken, std::memory_order_acquire,
-                std::memory_order_relaxed)) {
-          taken.push_back(k);
-          msgs.push_back(ActiveMessage{slots[k].frame, slots[k].item});
-        }
-      }
-      if (msgs.empty()) break;
-      any = true;
-      // Duplicate-home hint dedup, same contract as DrainShard: a
-      // combine batch usually carries several operations for the same
-      // hub vertex, whose footprint should be charged once per fused
-      // window. The batch is bounded by the slot count, so a quadratic
-      // scan beats building an AddrMap.
-      homes.clear();
-      for (const ActiveMessage& msg : msgs) {
-        const BatchFrame& f = FrameOf(msg);
-        homes.push_back(f.vt->home(f.home, msg.item));
-      }
-      dup.assign(msgs.size(), 0);
-      for (size_t a = 1; a < msgs.size(); ++a) {
-        for (size_t b = 0; b < a; ++b) {
-          if (homes[b] == homes[a]) {
-            dup[a] = 1;
-            break;
-          }
-        }
-      }
-      auto mhint = [&](uint64_t k) -> uint64_t {
-        if (dup[k] != 0) return 1;
-        const BatchFrame& f = FrameOf(msgs[k]);
-        return f.vt->hint(f.hint, msgs[k].item);
-      };
-      auto mbody = [&](auto& txn, uint64_t k) {
-        const ActiveMessage& msg = msgs[k];
-        const BatchFrame& f = FrameOf(msg);
-        using TxnT = std::remove_cvref_t<decltype(txn)>;
-        if constexpr (std::is_same_v<TxnT, HTxn<Htm, Table>>) {
-          f.vt->run_h(f.body, txn, msg.item);
-        } else if constexpr (std::is_same_v<TxnT, OTxn<Htm, Table>>) {
-          f.vt->run_o(f.body, txn, msg.item);
-        } else {
-          f.vt->run_l(f.body, txn, msg.item);
-        }
-      };
-      RunBatchWindowed(w, worker_id, 0, msgs.size(), mhint, mbody);
-      RecordCombineBatch(w, static_cast<uint32_t>(msgs.size()), occupancy);
-      // Hot-state maintenance: more than one simultaneous announcement
-      // is direct evidence these operations would have conflicted
-      // competitively — keep the region hot. Singleton batches record a
-      // clean attempt, so a region whose storm has passed decays back to
-      // cold (hysteresis lives in the history).
-      const bool contended = msgs.size() > 1;
-      for (const VertexId home : homes) {
-        cr.history().RecordAttempt(home, contended);
-      }
-      for (const uint32_t k : taken) {
-        slots[k].state.store(kCombineSlotApplied, std::memory_order_release);
+      // One release per run of same-frame messages: each frame's last
+      // decrement is this drainer's last touch of it.
+      for (size_t k = 0; k < batch.size();) {
+        size_t j = k + 1;
+        while (j < batch.size() && batch[j].frame == batch[k].frame) ++j;
+        FrameOf(batch[k]).pending.fetch_sub(static_cast<int64_t>(j - k),
+                                            std::memory_order_release);
+        k = j;
       }
       if (handoff) break;
     }
-    cell.owner_lock.Unlock();
+    cell.drain_lock.Unlock();
     return any;
-  }
-
-  static uint32_t ResolvedWorkers(const Config& c) {
-    return c.shard_workers == 0 ? 1 : c.shard_workers;
-  }
-  static uint32_t ResolvedShards(const Config& c) {
-    return c.num_shards != 0 ? c.num_shards : ResolvedWorkers(c);
   }
 
  private:
@@ -916,7 +721,7 @@ class TuFastScheduler {
       return;
     }
     w.telemetry.EnterMode(SchedMode::kHardware);
-    HTxn<Htm, Table> htxn(w.state.htx, lock_table_, RecorderFor(w),
+    HTxn<Htm> htxn(w.state.htx, lock_table_, RecorderFor(w),
                           WalRecorderFor(w));
     const FusedAttemptResult attempt =
         RunFusedHtmAttempt(w.state.htx, htxn, lo, hi, body);
@@ -1016,7 +821,7 @@ class TuFastScheduler {
     }
     if (try_h) {
       w.telemetry.EnterMode(SchedMode::kHardware);
-      HTxn<Htm, Table> htxn(w.state.htx, lock_table_, RecorderFor(w),
+      HTxn<Htm> htxn(w.state.htx, lock_table_, RecorderFor(w),
                             WalRecorderFor(w));
       // Adaptive retry budget (paper SIV-D): under a high attempt-abort
       // rate, each retry re-executes the whole body just to abort again.
@@ -1077,15 +882,12 @@ class TuFastScheduler {
  public:
   Htm& htm() { return htm_; }
   const Config& config() const { return config_; }
-  Table& lock_table() { return lock_table_; }
+  LockTable<Htm>& lock_table() { return lock_table_; }
   uint64_t h_hint_threshold() const { return h_hint_threshold_; }
 
-  /// Sharding-layer introspection (null unless Config::enable_sharding).
-  const ShardRuntime* shard_runtime() const { return sharding_.get(); }
-
-  /// Combining-layer introspection (null unless Config::enable_combining).
-  CombinerRuntime* combiner_runtime() { return combining_.get(); }
-  const CombinerRuntime* combiner_runtime() const { return combining_.get(); }
+  /// Delegation-layer introspection (null unless Config::enable_sharding
+  /// or Config::enable_combining).
+  Delegation* delegation() { return delegation_.get(); }
 
   /// Version-store introspection (null unless Config::enable_mvcc).
   Mvcc* mvcc_store() { return mvcc_.get(); }
@@ -1236,16 +1038,15 @@ class TuFastScheduler {
 
   Htm& htm_;
   const Config config_;
-  Table lock_table_;
-  LockManager<Htm, Table> lock_manager_;
+  LockTable<Htm> lock_table_;
+  LockManager<Htm> lock_manager_;
   const uint64_t h_hint_threshold_;
   const uint32_t max_period_;
   ProgressGuard progress_guard_;
   std::unique_ptr<Mvcc> mvcc_;
   std::unique_ptr<BasicWalWriter<Failpoints>> owned_wal_;
   WalSink* wal_sink_ = nullptr;
-  std::unique_ptr<ShardRuntime> sharding_;
-  std::unique_ptr<CombinerRuntime> combining_;
+  std::unique_ptr<Delegation> delegation_;
   Runtime runtime_;
 };
 
@@ -1254,14 +1055,6 @@ using TuFast = TuFastScheduler<EmulatedHtm>;
 
 /// Instrumented variant: identical routing, EventTelemetry aggregation.
 using TuFastInstrumented = TuFastScheduler<EmulatedHtm, EventTelemetry>;
-
-/// Sharded-table TuFast: per-shard conflict spaces (ShardedLockTable)
-/// behind the same scheduler. Pair with Config::enable_sharding to get
-/// the full shard-per-core mode (per-shard tables + message routing).
-template <typename Htm, typename Telemetry = NullTelemetry>
-using ShardedTuFastScheduler =
-    TuFastScheduler<Htm, Telemetry, ShardedLockTable<Htm>>;
-using TuFastSharded = ShardedTuFastScheduler<EmulatedHtm>;
 
 }  // namespace tufast
 

@@ -278,7 +278,7 @@ inline HtmAttemptVerdict RecordFusedAbort(Worker& w, uint32_t width,
   return RecordHtmAbort(w, status);
 }
 
-/// Accounting for one shard-mailbox drain batch (sharding/): `batch`
+/// Accounting for one owner-cell drain batch (tm/delegation.h): `batch`
 /// messages popped for group-commit execution with `depth` messages
 /// visible at drain entry. Mirrors RecordFusedCommit so the stats and
 /// telemetry views of the active-message layer stay in lockstep.
@@ -292,13 +292,12 @@ inline void RecordShardDrain(Worker& w, uint32_t batch, uint64_t depth) {
   w.telemetry.ShardDrain(batch, depth);
 }
 
-/// Accounting for one combine-collect sweep (tm/combiner.h): `ops`
-/// announced operations applied as one group-commit batch, `occupancy`
-/// slots found announced at collect entry. Mirrors RecordShardDrain so
-/// the stats and telemetry views of the combining layer stay in
-/// lockstep.
+/// Accounting for one hot-cell drain batch (tm/delegation.h): `ops`
+/// operations applied as one group-commit batch, `occupancy` messages
+/// visible at drain entry. Mirrors RecordShardDrain so the stats and
+/// telemetry views of the combining layer stay in lockstep.
 template <typename Worker>
-inline void RecordCombineBatch(Worker& w, uint32_t ops, uint32_t occupancy) {
+inline void RecordCombineBatch(Worker& w, uint32_t ops, uint64_t occupancy) {
   ++w.stats.combine_batches;
   w.stats.combined_ops += ops;
   if (occupancy > w.stats.combine_max_occupancy) {
@@ -307,8 +306,8 @@ inline void RecordCombineBatch(Worker& w, uint32_t ops, uint32_t occupancy) {
   w.telemetry.CombineBatch(ops, occupancy);
 }
 
-/// One announce bounced by a full combiner slot array; the operation
-/// runs locally instead (never dropped).
+/// One hot-cell message bounced by a full ring; the operation runs
+/// locally instead (never dropped).
 template <typename Worker>
 inline void RecordCombineSlotFull(Worker& w) {
   ++w.stats.combine_slot_full;

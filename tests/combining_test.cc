@@ -12,10 +12,10 @@
 //    clean attempts, enter/exit hysteresis, bucket hashing;
 //  * the full scheduler matrix (7 schedulers x applicable deadlock
 //    policies) through MakeCombiningSchedulerFor under combiner chaos
-//    (forced slot-full bounces + truncated collect sweeps), plain and
-//    stacked on sharding;
-//  * deterministic single-worker exactness with every announce forced to
-//    fail and with every collect sweep truncated to one op;
+//    (forced full-ring bounces + drains released after one message),
+//    plain and stacked on sharding;
+//  * deterministic single-worker exactness with every ship forced to
+//    bounce and with every drain released after one message;
 //  * composition with enable_mvcc: combining writers + abort-free
 //    snapshot readers.
 
@@ -113,7 +113,7 @@ FailpointPlan::Config CombineChaos(uint64_t seed) {
   config.Arm(FailSite::kHtmCommit, 0.005, FailAction::kAbortConflict);
   config.Arm(FailSite::kRouterSkipH, 0.02, FailAction::kFail);
   config.Arm(FailSite::kLockAcquireExclusive, 0.005, FailAction::kFail);
-  config.Arm(FailSite::kCombinerSlotFull, 0.3, FailAction::kFail);
+  config.Arm(FailSite::kMailboxFull, 0.3, FailAction::kFail);
   config.Arm(FailSite::kOwnerHandoff, 0.3, FailAction::kFail);
   return config;
 }
@@ -122,15 +122,15 @@ template <typename Scheduler>
 class CombiningEquivalenceTest : public ::testing::Test {};
 
 using EquivalenceSchedulers = ::testing::Types<
-    TuFastScheduler<FaultyHtm>, ShardedTuFastScheduler<FaultyHtm>,
-    TwoPhaseLocking<FaultyHtm>, SiloOcc<FaultyHtm>,
+    TuFastScheduler<FaultyHtm>, TwoPhaseLocking<FaultyHtm>, SiloOcc<FaultyHtm>,
     TimestampOrdering<FaultyHtm>, TinyStm<FaultyHtm>, HsyncHybrid<FaultyHtm>,
     HtmTimestampOrdering<FaultyHtm>>;
 TYPED_TEST_SUITE(CombiningEquivalenceTest, EquivalenceSchedulers);
 
 // The batched conservation + exactly-once histogram suite must hold on
 // every scheduler x applicable policy with the combining configuration
-// (hair-trigger threshold, 2-slot cells) and combiner failpoints armed.
+// (hair-trigger threshold, 4-message hot rings) and combiner failpoints
+// armed.
 // The workloads' precomputed histograms make "on equals off" exact: both
 // must equal the same integer oracle.
 TYPED_TEST(CombiningEquivalenceTest, BatchedInvariantsHoldWithCombining) {
@@ -171,23 +171,23 @@ CombiningTuFast::Config CombiningConfig() {
   CombiningTuFast::Config config;
   config.enable_combining = true;
   config.hot_threshold = 0.1;
-  config.combiner_slots = 4;
+  config.am_batch = 4;
   config.combine_history_buckets = 64;
   return config;
 }
 
 /// Runs `items` single-increment batch items over `targets` on one
-/// worker and returns the final counters; the combining runtime is
-/// pre-heated for vertices [0, hot_set) so the router announces from the
+/// worker and returns the final counters; the contention history is
+/// pre-heated for vertices [0, hot_set) so the router ships from the
 /// first window (single-worker runs never abort, so heat cannot develop
 /// organically).
 std::vector<TmWord> RunHistogram(CombiningTuFast& tm, VertexId vertices,
                                  const std::vector<VertexId>& targets,
                                  VertexId hot_set) {
-  if (tm.combiner_runtime() != nullptr) {
+  if (tm.delegation() != nullptr) {
     for (VertexId v = 0; v < hot_set; ++v) {
       for (int k = 0; k < 64; ++k) {
-        tm.combiner_runtime()->history().RecordAttempt(v, true);
+        tm.delegation()->history()->RecordAttempt(v, true);
       }
     }
   }
@@ -261,14 +261,14 @@ TEST(CombiningExactnessTest, ForcedSlotFullFallsBackWithoutLoss) {
   CombiningTuFast tm(htm, kVertices, CombiningConfig());
   FailpointPlan::Config pc;
   pc.seed = 42;
-  pc.Arm(FailSite::kCombinerSlotFull, 1.0, FailAction::kFail);
+  pc.Arm(FailSite::kMailboxFull, 1.0, FailAction::kFail);
   FailpointPlan plan(pc);
   FailpointScope scope(plan);
   EXPECT_EQ(RunHistogram(tm, kVertices, targets, 4),
             ExpectedHistogram(kVertices, targets));
   const SchedulerStats stats = tm.AggregatedStats();
   EXPECT_EQ(stats.combined_ops, 0u)
-      << "every announce was forced to fail; nothing may combine";
+      << "every ship was forced to bounce; nothing may combine";
   EXPECT_GT(stats.combine_slot_full, 0u);
   EXPECT_EQ(stats.commits, targets.size());
 }
@@ -289,10 +289,10 @@ TEST(CombiningExactnessTest, ForcedOwnerHandoffStillAppliesEveryOp) {
             ExpectedHistogram(kVertices, targets));
   const SchedulerStats stats = tm.AggregatedStats();
   EXPECT_GT(stats.combined_ops, 0u);
-  // Truncated sweeps take one op at a time, so batches outnumber a
+  // Handed-off drains take one op at a time, so batches outnumber a
   // clean run's; every op still applies exactly once (histogram above).
   EXPECT_GE(stats.combine_batches, stats.combined_ops)
-      << "one-op sweeps: at least one batch per combined op";
+      << "one-op drains: at least one batch per combined op";
   EXPECT_EQ(stats.commits, targets.size());
 }
 

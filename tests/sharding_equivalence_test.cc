@@ -125,8 +125,7 @@ template <typename Scheduler>
 class ShardingEquivalenceTest : public ::testing::Test {};
 
 using EquivalenceSchedulers = ::testing::Types<
-    TuFastScheduler<FaultyHtm>, ShardedTuFastScheduler<FaultyHtm>,
-    TwoPhaseLocking<FaultyHtm>, SiloOcc<FaultyHtm>,
+    TuFastScheduler<FaultyHtm>, TwoPhaseLocking<FaultyHtm>, SiloOcc<FaultyHtm>,
     TimestampOrdering<FaultyHtm>, TinyStm<FaultyHtm>, HsyncHybrid<FaultyHtm>,
     HtmTimestampOrdering<FaultyHtm>>;
 TYPED_TEST_SUITE(ShardingEquivalenceTest, EquivalenceSchedulers);
@@ -134,8 +133,8 @@ TYPED_TEST_SUITE(ShardingEquivalenceTest, EquivalenceSchedulers);
 // All-local regime: every scheduler must reproduce the golden results
 // bit-for-bit through the home-aware RunBatch entry point. Baselines
 // exercise the free-dispatcher fallback (the home mapping is dropped);
-// the TuFast instantiations sweep sharded configurations in which the
-// single pool worker owns every shard, so routing never ships.
+// TuFast sweeps sharded configurations in which the single pool worker
+// owns every shard, so routing never ships.
 TYPED_TEST(ShardingEquivalenceTest, AllLocalShardingIsBitIdentical) {
   using Scheduler = TypeParam;
   const VertexId n = SharedGraphs().directed.NumVertices();
@@ -148,43 +147,36 @@ TYPED_TEST(ShardingEquivalenceTest, AllLocalShardingIsBitIdentical) {
     FailpointScope scope(plan);
     ExpectBitIdentical(RunConvertedAlgorithms(*tm, pool), "no sharding knob");
   } else {
-    struct Variant {
-      const char* label;
-      uint32_t num_shards;
-      bool padded;
-    };
-    for (const Variant& variant : {Variant{"one shard", 1, false},
-                                   Variant{"four shards", 4, false},
-                                   Variant{"seven shards, padded", 7, true}}) {
+    for (const uint32_t shards : {1u, 4u, 7u}) {
+      const std::string label = std::to_string(shards) + " shards";
       FaultyHtm htm;
       typename Scheduler::Config config;
       config.enable_sharding = true;
-      config.num_shards = variant.num_shards;
+      config.num_shards = shards;
       config.shard_workers = 1;  // Worker 0 owns every shard: all local.
-      config.padded_lock_table = variant.padded;
       Scheduler tm(htm, n, config);
       FailpointPlan plan(ShardChaos(/*seed=*/12));
       FailpointScope scope(plan);
-      ExpectBitIdentical(RunConvertedAlgorithms(tm, pool), variant.label);
+      ExpectBitIdentical(RunConvertedAlgorithms(tm, pool), label);
       const SchedulerStats stats = tm.AggregatedStats();
-      EXPECT_GT(stats.shard_local_items, 0u) << variant.label;
-      EXPECT_EQ(stats.shard_messages_sent, 0u) << variant.label;
-      EXPECT_EQ(stats.shard_messages_drained, 0u) << variant.label;
+      EXPECT_GT(stats.shard_local_items, 0u) << label;
+      EXPECT_EQ(stats.shard_messages_sent, 0u) << label;
+      EXPECT_EQ(stats.shard_messages_drained, 0u) << label;
     }
   }
 }
 
-/// Runs the message-path regime on one TuFast-family scheduler type and
-/// checks fixpoint results plus lossless message accounting.
-template <typename Scheduler>
+/// Runs the message-path regime on TuFast and checks fixpoint results
+/// plus lossless message accounting.
 void RunMessagePathChecks(const char* label, uint32_t mailbox_capacity,
                           bool with_chaos, uint64_t seed) {
+  using Scheduler = TuFastScheduler<FaultyHtm>;
   const TestGraphs& g = SharedGraphs();
   const VertexId n = g.directed.NumVertices();
   ThreadPool pool(1);
 
   FaultyHtm htm;
-  typename Scheduler::Config config;
+  Scheduler::Config config;
   config.enable_sharding = true;
   config.num_shards = 4;
   config.shard_workers = 4;  // Worker 0 owns only shard 0: 3/4 ships.
@@ -220,28 +212,18 @@ void RunMessagePathChecks(const char* label, uint32_t mailbox_capacity,
 }
 
 TEST(ShardingMessagePathTest, FixpointResultsMatchGolden) {
-  RunMessagePathChecks<TuFastScheduler<FaultyHtm>>(
-      "shared table, roomy ring", /*mailbox_capacity=*/1024,
-      /*with_chaos=*/false, /*seed=*/21);
+  RunMessagePathChecks("roomy ring", /*mailbox_capacity=*/1024,
+                       /*with_chaos=*/false, /*seed=*/21);
 }
 
 TEST(ShardingMessagePathTest, TinyMailboxBouncesLosslessly) {
-  RunMessagePathChecks<TuFastScheduler<FaultyHtm>>(
-      "shared table, tiny ring", /*mailbox_capacity=*/16,
-      /*with_chaos=*/false, /*seed=*/22);
+  RunMessagePathChecks("tiny ring", /*mailbox_capacity=*/16,
+                       /*with_chaos=*/false, /*seed=*/22);
 }
 
 TEST(ShardingMessagePathTest, SurvivesShardChaosPlan) {
-  RunMessagePathChecks<TuFastScheduler<FaultyHtm>>(
-      "shared table, chaos", /*mailbox_capacity=*/64,
-      /*with_chaos=*/true, /*seed=*/23);
-}
-
-TEST(ShardingMessagePathTest, ShardedLockTableMatchesGolden) {
-  // Full sharded mode: per-shard lock tables *and* message routing.
-  RunMessagePathChecks<ShardedTuFastScheduler<FaultyHtm>>(
-      "sharded table, chaos", /*mailbox_capacity=*/64,
-      /*with_chaos=*/true, /*seed=*/24);
+  RunMessagePathChecks("chaos", /*mailbox_capacity=*/64,
+                       /*with_chaos=*/true, /*seed=*/23);
 }
 
 }  // namespace

@@ -1,21 +1,19 @@
-// Unit tests for the shard-per-core ownership layer (src/sharding/):
-// the static vertex->shard->worker map and its documented edge cases, the
-// bounded active-message mailbox, the per-shard runtime wiring, and the
-// ShardedLockTable's global-reachability contract.
+// Unit tests for the shard-per-core ownership pieces (src/sharding/ and
+// the owner cells of tm/delegation.h): the static vertex->shard->worker
+// map and its documented edge cases, the bounded active-message ring,
+// and the owner-cell wiring.
 
+#include <atomic>
 #include <cstdint>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "htm/emulated_htm.h"
 #include "sharding/mailbox.h"
 #include "sharding/shard_map.h"
-#include "sharding/shard_runtime.h"
-#include "sharding/sharded_lock_table.h"
+#include "tm/delegation.h"
 
 namespace tufast {
 namespace {
@@ -23,65 +21,59 @@ namespace {
 // ---------------------------------------------------------------------------
 // ShardMap
 
+/// Vertices of [0, n) dealt to each shard.
+std::vector<VertexId> ShardSizes(const ShardMap& map, VertexId n) {
+  std::vector<VertexId> sizes(map.num_shards(), 0);
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t s = map.ShardOf(v);
+    EXPECT_LT(s, map.num_shards()) << "vertex " << v;
+    if (s < sizes.size()) ++sizes[s];
+  }
+  return sizes;
+}
+
 TEST(ShardMapTest, CyclicDealRoundTripsEveryVertex) {
-  // (shard, local index) must be a bijection over [0, n) and every local
-  // index must fall inside its shard's declared size.
+  // Every vertex lands in exactly one in-range shard, the shard v % k.
   for (const auto& [n, shards] : std::vector<std::pair<VertexId, uint32_t>>{
            {100, 1}, {100, 4}, {100, 7}, {97, 8}, {64, 64}, {1, 3}}) {
-    ShardMap map(n, shards, /*num_workers=*/3);
-    std::set<std::pair<uint32_t, VertexId>> seen;
-    VertexId total = 0;
-    for (uint32_t s = 0; s < map.num_shards(); ++s) total += map.ShardSize(s);
-    EXPECT_EQ(total, n) << "n=" << n << " shards=" << shards;
+    ShardMap map(shards, /*num_workers=*/3);
     for (VertexId v = 0; v < n; ++v) {
-      const uint32_t s = map.ShardOf(v);
-      ASSERT_LT(s, map.num_shards());
-      const VertexId local = map.LocalIndex(v);
-      ASSERT_LT(local, map.ShardSize(s)) << "n=" << n << " shards=" << shards;
-      EXPECT_TRUE(seen.emplace(s, local).second)
-          << "vertex " << v << " collided (n=" << n << " shards=" << shards
-          << ")";
+      ASSERT_EQ(map.ShardOf(v), v % shards) << "n=" << n << " k=" << shards;
     }
+    VertexId total = 0;
+    for (const VertexId size : ShardSizes(map, n)) total += size;
+    EXPECT_EQ(total, n) << "n=" << n << " shards=" << shards;
   }
 }
 
 TEST(ShardMapTest, NonDivisibleVertexCountSpreadsRemainderEvenly) {
   // 10 vertices over 3 shards: sizes differ by at most one and the low
   // shards take the extras (cyclic deal).
-  ShardMap map(10, 3, 1);
-  EXPECT_EQ(map.ShardSize(0), 4u);
-  EXPECT_EQ(map.ShardSize(1), 3u);
-  EXPECT_EQ(map.ShardSize(2), 3u);
+  EXPECT_EQ(ShardSizes(ShardMap(3, 1), 10), (std::vector<VertexId>{4, 3, 3}));
 }
 
 TEST(ShardMapTest, SingleShardDegeneratesToUnsharded) {
-  ShardMap map(7, 1, 4);
+  ShardMap map(1, 4);
   for (VertexId v = 0; v < 7; ++v) {
     EXPECT_EQ(map.ShardOf(v), 0u);
-    EXPECT_EQ(map.LocalIndex(v), v);
     EXPECT_EQ(map.OwnerOf(v), 0u);
   }
-  EXPECT_EQ(map.ShardSize(0), 7u);
 }
 
 TEST(ShardMapTest, MoreShardsThanVerticesLeavesTailShardsEmpty) {
-  ShardMap map(3, 8, 2);
-  EXPECT_EQ(map.ShardSize(0), 1u);
-  EXPECT_EQ(map.ShardSize(1), 1u);
-  EXPECT_EQ(map.ShardSize(2), 1u);
-  for (uint32_t s = 3; s < 8; ++s) EXPECT_EQ(map.ShardSize(s), 0u);
-  EXPECT_EQ(map.ShardSize(99), 0u);  // Out of range: also empty.
+  EXPECT_EQ(ShardSizes(ShardMap(8, 2), 3),
+            (std::vector<VertexId>{1, 1, 1, 0, 0, 0, 0, 0}));
 }
 
 TEST(ShardMapTest, ShardCountExceedingWorkerCountDealsCyclically) {
-  ShardMap map(100, 8, 3);
+  ShardMap map(8, 3);
   // 8 shards over 3 workers: worker 0 gets {0,3,6}, 1 gets {1,4,7},
   // 2 gets {2,5} — counts differ by at most one.
   for (uint32_t s = 0; s < 8; ++s) EXPECT_EQ(map.OwnerWorker(s), s % 3);
 }
 
 TEST(ShardMapTest, ZeroCountsClampToOne) {
-  ShardMap map(10, 0, 0);
+  ShardMap map(0, 0);
   EXPECT_EQ(map.num_shards(), 1u);
   EXPECT_EQ(map.num_workers(), 1u);
   EXPECT_EQ(map.ShardOf(9), 0u);
@@ -89,7 +81,7 @@ TEST(ShardMapTest, ZeroCountsClampToOne) {
 }
 
 TEST(ShardMapTest, Pow2FastPathMatchesModulo) {
-  ShardMap map(1000, 16, 4);
+  ShardMap map(16, 4);
   for (VertexId v = 0; v < 1000; ++v) {
     EXPECT_EQ(map.ShardOf(v), v % 16);
   }
@@ -178,81 +170,37 @@ TEST(BoundedMailboxTest, ConcurrentProducersLoseNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardRuntime
+// ShardRuntime: the owner-cell half of the delegation runtime
+
+Delegation::Options ShardedOptions(uint32_t shards, uint32_t workers) {
+  Delegation::Options opts;
+  opts.sharding = true;
+  opts.num_shards = shards;
+  opts.shard_workers = workers;
+  opts.mailbox_capacity = 16;
+  return opts;
+}
 
 TEST(ShardRuntimeTest, OwnedShardListsFollowTheCyclicDeal) {
-  ShardRuntime rt(ShardRuntime::Options{.num_vertices = 100,
-                                        .num_shards = 8,
-                                        .num_workers = 3,
-                                        .mailbox_capacity = 16});
-  EXPECT_EQ(rt.num_shards(), 8u);
-  EXPECT_EQ(rt.OwnedShards(0), (std::vector<uint32_t>{0, 3, 6}));
-  EXPECT_EQ(rt.OwnedShards(1), (std::vector<uint32_t>{1, 4, 7}));
-  EXPECT_EQ(rt.OwnedShards(2), (std::vector<uint32_t>{2, 5}));
-  // Workers past num_workers own nothing (they only ever send).
-  EXPECT_TRUE(rt.OwnedShards(3).empty());
-  EXPECT_TRUE(rt.OwnedShards(-1).empty());
-  EXPECT_EQ(rt.shard(0).mailbox.capacity(), 16u);
-  EXPECT_EQ(rt.shard(0).pending.load(), 0u);
+  Delegation d(ShardedOptions(/*shards=*/8, /*workers=*/3));
+  EXPECT_EQ(d.num_cells(), 8u);
+  EXPECT_EQ(d.OwnedCells(0), (std::vector<uint32_t>{0, 3, 6}));
+  EXPECT_EQ(d.OwnedCells(1), (std::vector<uint32_t>{1, 4, 7}));
+  EXPECT_EQ(d.OwnedCells(2), (std::vector<uint32_t>{2, 5}));
+  // Workers past shard_workers own nothing (they only ever send).
+  EXPECT_TRUE(d.OwnedCells(3).empty());
+  EXPECT_TRUE(d.OwnedCells(-1).empty());
+  EXPECT_EQ(d.cell(0).ring.capacity(), 16u);
+  EXPECT_FALSE(d.IsHotCell(7));
+  EXPECT_EQ(d.history(), nullptr);
 }
 
 TEST(ShardRuntimeTest, FewerShardsThanWorkersLeavesWorkersOwnerless) {
-  ShardRuntime rt(ShardRuntime::Options{.num_vertices = 10,
-                                        .num_shards = 2,
-                                        .num_workers = 4});
-  EXPECT_EQ(rt.OwnedShards(0), (std::vector<uint32_t>{0}));
-  EXPECT_EQ(rt.OwnedShards(1), (std::vector<uint32_t>{1}));
-  EXPECT_TRUE(rt.OwnedShards(2).empty());
-  EXPECT_TRUE(rt.OwnedShards(3).empty());
-}
-
-// ---------------------------------------------------------------------------
-// ShardedLockTable
-
-TEST(ShardedLockTableTest, EveryVertexReachableAndWordsDistinct) {
-  // The global-reachability contract: any worker can lock any vertex
-  // through the global id, and no two vertices alias one lock word.
-  EmulatedHtm htm;
-  ShardedLockTable<EmulatedHtm> table(htm, 100,
-                                      LockTableOptions{.shards = 7});
-  EXPECT_EQ(table.num_shards(), 7u);
-  std::set<const TmWord*> words;
-  for (VertexId v = 0; v < 100; ++v) {
-    EXPECT_TRUE(words.insert(table.WordAddr(v)).second) << "vertex " << v;
-  }
-  for (VertexId v = 0; v < 100; ++v) {
-    ASSERT_TRUE(table.TryLockExclusive(v));
-    EXPECT_FALSE(table.TryLockShared(v));
-    EXPECT_FALSE(ShardedLockTable<EmulatedHtm>::Free(table.LoadWord(v)));
-    table.UnlockExclusive(v);
-    EXPECT_TRUE(ShardedLockTable<EmulatedHtm>::Free(table.LoadWord(v)));
-  }
-}
-
-TEST(ShardedLockTableTest, SharedUpgradeRoundTripPerShard) {
-  EmulatedHtm htm;
-  ShardedLockTable<EmulatedHtm> table(htm, 32,
-                                      LockTableOptions{.padded = true,
-                                                       .shards = 4});
-  EXPECT_TRUE(table.padded());
-  const VertexId v = 13;
-  ASSERT_TRUE(table.TryLockShared(v));
-  EXPECT_TRUE(ShardedLockTable<EmulatedHtm>::SharedCompatible(
-      table.LoadWord(v)));
-  ASSERT_TRUE(table.TryUpgrade(v));
-  EXPECT_FALSE(table.TryLockShared(v));
-  table.UnlockExclusive(v);
-  // Locking vertex 13 (shard 1) never touched shard 2's words.
-  EXPECT_TRUE(ShardedLockTable<EmulatedHtm>::Free(table.LoadWord(14)));
-}
-
-TEST(ShardedLockTableTest, MoreShardsThanVerticesStillServesAll) {
-  EmulatedHtm htm;
-  ShardedLockTable<EmulatedHtm> table(htm, 3, LockTableOptions{.shards = 8});
-  for (VertexId v = 0; v < 3; ++v) {
-    ASSERT_TRUE(table.TryLockExclusive(v));
-    table.UnlockExclusive(v);
-  }
+  Delegation d(ShardedOptions(/*shards=*/2, /*workers=*/4));
+  EXPECT_EQ(d.OwnedCells(0), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(d.OwnedCells(1), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(d.OwnedCells(2).empty());
+  EXPECT_TRUE(d.OwnedCells(3).empty());
 }
 
 }  // namespace
