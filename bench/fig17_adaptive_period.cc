@@ -117,7 +117,8 @@ int Main(int argc, char** argv) {
     if (a.active_after == 0 && s.active_after == 0) break;
   }
   JsonReport::AddTelemetry("fig17 adaptive run",
-                           adaptive_tm.AggregatedTelemetry().Snapshot());
+                           adaptive_tm.AggregatedTelemetry().Snapshot(),
+                           adaptive_tm.AggregatedStats());
   table.Print(
       "Fig. 17 — static (period=1000) vs adaptive period, PageRank on " +
       spec.name);

@@ -190,7 +190,7 @@ VariantResult RunVariant(const Graph& base, const BenchFlags& flags,
   Check(res.goodput_per_s > 0, label + ": zero goodput");
 
   JsonReport::AddTelemetry("serve " + label,
-                           tm.AggregatedTelemetry().Snapshot());
+                           tm.AggregatedTelemetry().Snapshot(), stats);
   return res;
 }
 

@@ -114,24 +114,25 @@ MixOutcome RunMix(DynamicGraph& dyn, TuFastInstrumented& tm, ThreadPool& pool,
 
 void ReportModeBreakdown(const TuFastInstrumented& tm,
                          const std::string& title) {
-  const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-  JsonReport::AddTelemetry(title, snap);
-  const uint64_t total = snap.TotalCommits();
+  const SchedulerStats stats = tm.AggregatedStats();
+  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
+  JsonReport::AddTelemetry(title, snap, stats);
+  const uint64_t total = stats.commits;
   ReportTable table({"class", "committed txns", "% txns", "avg ops/txn"});
   for (int c = 0; c < kNumTxnClasses; ++c) {
-    const uint64_t count = snap.commits[c];
+    const uint64_t count = stats.class_count[c];
     table.AddRow({TxnClassName(static_cast<TxnClass>(c)),
                   ReportTable::Int(count),
                   ReportTable::Num(total ? 100.0 * count / total : 0),
                   ReportTable::Num(
-                      count ? static_cast<double>(snap.commit_ops[c]) / count
+                      count ? static_cast<double>(stats.class_ops[c]) / count
                             : 0)});
   }
   table.Print(title);
   // ApplyBatch routes per-source update groups through the batch
   // executor, so the update mixes exercise group-commit fusion; surface
   // the achieved widths alongside the mode split.
-  PrintFusionSummary(snap, "fusion summary — " + title);
+  PrintFusionSummary(snap, stats, "fusion summary — " + title);
 }
 
 void RunDataset(const std::string& name, const Graph& base,

@@ -48,9 +48,11 @@ class JsonReport {
                        const std::vector<std::string>& headers,
                        const std::vector<std::vector<std::string>>& rows);
 
-  /// Records a named telemetry snapshot: {"name":..,"telemetry":{..}}.
+  /// Records a named telemetry snapshot with the scheduler's counters:
+  /// {"name":..,"telemetry":{..}}.
   static void AddTelemetry(const std::string& name,
-                           const TelemetrySnapshot& snapshot);
+                           const TelemetrySnapshot& snapshot,
+                           const SchedulerStats& stats);
 
   /// Writes the document now. Also runs automatically at exit.
   static void Write();
@@ -59,22 +61,26 @@ class JsonReport {
   static std::string Escape(const std::string& text);
 };
 
-/// Serializers used by JsonReport and the telemetry golden tests.
+/// Serializers used by JsonReport and the telemetry golden tests. The
+/// telemetry document interleaves the snapshot's clocks and
+/// distributions with the counts, which live only in `stats`.
 std::string LogHistogramToJson(const LogHistogram& hist);
-std::string TelemetrySnapshotToJson(const TelemetrySnapshot& snapshot);
+std::string TelemetrySnapshotToJson(const TelemetrySnapshot& snapshot,
+                                    const SchedulerStats& stats);
 
-/// Prints (and mirrors to JSON) the batch-executor fusion summary of a
-/// telemetry snapshot: fused regions/items, fusion aborts, and the
-/// width / bisection-depth histogram quantiles. No-op when the snapshot
-/// recorded no fused regions (per-item benches stay uncluttered).
+/// Prints (and mirrors to JSON) the batch-executor fusion summary: fused
+/// regions/items and fusion aborts (stats), and the width /
+/// bisection-depth histogram quantiles (snapshot). No-op when no fused
+/// region committed (per-item benches stay uncluttered).
 void PrintFusionSummary(const TelemetrySnapshot& snapshot,
-                        const std::string& title);
+                        const SchedulerStats& stats, const std::string& title);
 
 /// Prints (and mirrors to JSON) the progress-guard summary: backoff
 /// volume, starvation escalations/tokens, breaker transitions and
 /// bypasses, and the per-transaction abort-count tail. No-op when the
-/// snapshot saw no guard activity at all (uncontended runs stay quiet).
+/// run saw no guard activity at all (uncontended runs stay quiet).
 void PrintProgressSummary(const TelemetrySnapshot& snapshot,
+                          const SchedulerStats& stats,
                           const std::string& title);
 
 }  // namespace tufast

@@ -35,18 +35,20 @@ concept TransactionContext =
 template <typename T>
 concept TelemetrySink =
     requires(T& sink, const T& csink, TxnClass cls, SchedMode mode,
-             AbortReason reason, uint32_t period, uint64_t ops, bool cycle,
-             uint32_t width, uint32_t depth) {
+             AbortReason reason, uint32_t period, bool cycle, uint32_t width,
+             uint32_t depth, uint64_t n) {
       { T::kEnabled } -> std::convertible_to<bool>;
       sink.TxnBegin();
       sink.EnterMode(mode);
       sink.AttemptAbort(reason);
       sink.PeriodChange(period);
       sink.DeadlockVictim(cycle);
-      sink.TxnCommit(cls, ops);
-      sink.TxnUserAbort(cls);
-      sink.FusedCommit(width, depth, ops);
-      sink.FusionAbort(width);
+      sink.TxnCommit(cls);
+      sink.TxnUserAbort();
+      sink.FusedCommit(width, depth);
+      sink.BackoffWait(n);
+      sink.TxnRetries(n);
+      sink.ServeQueueDelay(n);
       sink.Merge(csink);
     };
 

@@ -202,6 +202,10 @@ class ContentionMonitor {
   uint64_t breaker_trips() const { return breaker_trips_; }
   uint64_t breaker_half_opens() const { return breaker_half_opens_; }
   uint64_t breaker_closes() const { return breaker_closes_; }
+  /// Zeroes the transition counts (not the state) for ResetStats().
+  void ResetBreakerCounts() {
+    breaker_trips_ = breaker_half_opens_ = breaker_closes_ = 0;
+  }
 
   const Config& config() const { return config_; }
 

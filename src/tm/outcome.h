@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "common/spin.h"
-
 namespace tufast {
 
 /// Which execution class a committed TuFast transaction fell into,
@@ -105,6 +103,11 @@ struct SchedulerStats {
   uint64_t starvation_tokens = 0;       // global-token acquisitions
   uint64_t breaker_bypass = 0;          // txns routed to L by the breaker
   uint64_t max_txn_aborts = 0;          // worst per-txn failed attempts
+  // Breaker transitions, counted by each worker's ContentionMonitor and
+  // stamped into the aggregate by TuFastScheduler::AggregatedStats().
+  uint64_t breaker_trips = 0;
+  uint64_t breaker_half_opens = 0;
+  uint64_t breaker_closes = 0;
 
   // Serving front end (serving/server.h): per-worker queue-delay
   // accounting, recorded exactly once per executed request via
@@ -198,6 +201,9 @@ struct SchedulerStats {
     if (other.max_txn_aborts > max_txn_aborts) {
       max_txn_aborts = other.max_txn_aborts;
     }
+    breaker_trips += other.breaker_trips;
+    breaker_half_opens += other.breaker_half_opens;
+    breaker_closes += other.breaker_closes;
     serve_requests += other.serve_requests;
     serve_queue_delay_ns += other.serve_queue_delay_ns;
     if (other.serve_max_queue_delay_ns > serve_max_queue_delay_ns) {
@@ -227,18 +233,6 @@ struct DeadlockVictimSignal {};
 /// Internal signal for an O-mode software abort (lock busy / validation
 /// failure) raised outside the hardware segment.
 struct OModeFailSignal {};
-
-/// Shared exponential randomized backoff between deadlock-victim retries
-/// (see TwoPhaseLocking::Run). `attempt` is the number of victim aborts
-/// this transaction has suffered so far.
-template <typename RngT>
-void DeadlockRetryBackoff(RngT& rng, uint32_t attempt) {
-  const uint32_t shift = attempt < 12 ? attempt : 12;
-  const uint64_t window = uint64_t{16} << shift;
-  const uint64_t pauses = 4 + rng.NextBounded(window);
-  Backoff backoff;
-  for (uint64_t i = 0; i < pauses; ++i) backoff.Pause();
-}
 
 }  // namespace tufast
 

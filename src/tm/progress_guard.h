@@ -8,28 +8,34 @@
 
 namespace tufast {
 
+/// Victim aborts after which a transaction's priority is aged (starved
+/// bit set), and after which it takes the global starvation token.
+inline constexpr uint32_t kStarvationPriorityThreshold = 3;
+inline constexpr uint32_t kStarvationTokenThreshold = 8;
+
 /// Progress-guard escalation ladder (DESIGN.md "Progress guard"). The
 /// TM layer guarantees *safety* on any interleaving; this layer adds a
 /// bounded path to commit for every transaction, per "Progressive
 /// Transactional Memory in Time and Space" (Kuznetsov & Ravi):
 ///
-///   aborts < priority_threshold   plain randomized exponential backoff;
-///   aborts >= priority_threshold  the slot's starved bit ages its
-///                                 priority: never an injected victim,
-///                                 never a cycle-closure victim
-///                                 (wound-wait-style, sync/lock_manager.h);
-///   aborts >= token_threshold     the slot takes the global starvation
-///                                 token: other waiters defer (short
-///                                 wait bounds), new batch fusion pauses,
-///                                 and the holder commits next attempt.
+///   aborts < kStarvationPriorityThreshold
+///       plain randomized exponential backoff;
+///   aborts >= kStarvationPriorityThreshold
+///       the slot's starved bit ages its priority: never an injected
+///       victim, never a cycle-closure victim (wound-wait-style,
+///       sync/lock_manager.h);
+///   aborts >= kStarvationTokenThreshold
+///       the slot takes the global starvation token: other waiters defer
+///       (short wait bounds), new batch fusion pauses, and the holder
+///       commits next attempt.
 ///
 /// Retry bound argument: H attempts are bounded by the configured retry
 /// budget, O attempts by log2(max_period) halvings, and L-mode victim
-/// retries by token_threshold plus the bounded interference a token
-/// holder can still see (waiters already inside their wait loops, at
-/// most one per peer slot before the deferral bounds kick in) — so every
-/// transaction's total failed attempts are bounded by a constant that
-/// depends only on configuration, not on the adversary's schedule.
+/// retries by kStarvationTokenThreshold plus the bounded interference a
+/// token holder can still see (waiters already inside their wait loops,
+/// at most one per peer slot before the deferral bounds kick in) — so
+/// every transaction's total failed attempts are bounded by a constant
+/// that depends only on configuration, not on the adversary's schedule.
 ///
 /// Escalation state transitions run strictly while the escalating worker
 /// holds no locks (the L retry loop escalates after the victim released
@@ -37,28 +43,9 @@ namespace tufast {
 /// its wait loops without ordering hazards.
 class ProgressGuard {
  public:
-  struct Config {
-    /// Victim aborts after which the transaction's priority is aged
-    /// (starved bit set).
-    uint32_t priority_threshold = 3;
-    /// Victim aborts after which the transaction takes the global
-    /// starvation token.
-    uint32_t token_threshold = 8;
-    /// Master switch: disabled, every hook is a no-op and the signals
-    /// stay clear forever.
-    bool enabled = true;
-  };
-
-  explicit ProgressGuard(Config config) : config_(config) {}
-  ProgressGuard() : ProgressGuard(Config{}) {}
-
   ProgressSignals& signals() { return signals_; }
   const ProgressSignals& signals() const { return signals_; }
-  const Config& config() const { return config_; }
-
-  bool Protected(int slot) const {
-    return config_.enabled && signals_.IsProtected(slot);
-  }
+  bool Protected(int slot) const { return signals_.IsProtected(slot); }
 
   /// What one escalation step did (callers record stats/telemetry).
   enum class Escalation : uint8_t { kNone = 0, kStarved, kToken };
@@ -66,13 +53,12 @@ class ProgressGuard {
   /// One victim abort for `slot`'s transaction, which has now failed
   /// `aborts` times total. Must be called while the slot holds no locks.
   Escalation OnAbort(int slot, uint32_t aborts) {
-    if (!config_.enabled) return Escalation::kNone;
-    if (aborts >= config_.token_threshold &&
+    if (aborts >= kStarvationTokenThreshold &&
         signals_.TryAcquireToken(slot)) {
       signals_.SetStarved(slot);
       return Escalation::kToken;
     }
-    if (aborts == config_.priority_threshold) {
+    if (aborts == kStarvationPriorityThreshold) {
       signals_.SetStarved(slot);
       return Escalation::kStarved;
     }
@@ -82,7 +68,6 @@ class ProgressGuard {
   /// Immediate escalation to the top of the ladder (the kStarvationToken
   /// failpoint; also exercised directly by tests).
   Escalation ForceEscalate(int slot) {
-    if (!config_.enabled) return Escalation::kNone;
     const bool fresh_token = signals_.TryAcquireToken(slot);
     signals_.SetStarved(slot);
     return fresh_token ? Escalation::kToken : Escalation::kStarved;
@@ -91,13 +76,11 @@ class ProgressGuard {
   /// The slot's transaction finished (commit, user abort, or a foreign
   /// exception unwinding out): drop any aged priority and the token.
   void OnTxnDone(int slot) {
-    if (!config_.enabled) return;
     signals_.ClearStarved(slot);
     signals_.ReleaseToken(slot);
   }
 
  private:
-  Config config_;
   ProgressSignals signals_;
 };
 
@@ -121,7 +104,7 @@ inline uint64_t ConflictBackoff(RngT& rng, uint32_t attempt) {
 /// Progress-guard context threaded into RunLockTxnLoop by the schedulers
 /// that own a guard (TuFast's L mode, the 2PL baseline). The default
 /// (guard == nullptr) reproduces the pre-guard loop: no escalation, no
-/// failpoint-driven re-victimization, legacy backoff pacing.
+/// failpoint-driven re-victimization.
 struct ProgressContext {
   ProgressGuard* guard = nullptr;
   /// Lock-manager slot of the worker (== worker id everywhere).
@@ -129,10 +112,6 @@ struct ProgressContext {
   /// Failed attempts the transaction already accumulated in earlier
   /// modes (H/O), so the escalation ladder sees the whole transaction.
   uint32_t prior_aborts = 0;
-  /// false = pace victim retries with the legacy DeadlockRetryBackoff
-  /// (bit-for-bit the pre-guard behavior); true = ConflictBackoff with
-  /// backoff telemetry.
-  bool enable_backoff = true;
 };
 
 }  // namespace tufast

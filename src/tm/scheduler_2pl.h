@@ -51,8 +51,7 @@ class TwoPhaseLocking {
     w.telemetry.TxnBegin();
     return RunLockTxnLoop<HtmFailpoints<Htm>>(
         w, w.state.ltxn, fn, TxnClass::kL,
-        ProgressContext{&progress_guard_, worker_id, 0,
-                        /*enable_backoff=*/true});
+        ProgressContext{&progress_guard_, worker_id, 0});
   }
 
   /// Attaches an MVCC version store (DESIGN.md "MVCC snapshot reads"):

@@ -167,14 +167,14 @@ class HsyncHybrid {
       if (status.ok()) {
         AccountWalCommit(w, wal);  // Ack barrier: HW commit done.
         w.stats.RecordCommit(TxnClass::kH, hw.ops());
-        w.telemetry.TxnCommit(TxnClass::kH, hw.ops());
+        w.telemetry.TxnCommit(TxnClass::kH);
         BeatCommit(w);
         return RunOutcome{true, TxnClass::kH, hw.ops(), txn_aborts};
       }
       const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
       if (verdict == HtmAttemptVerdict::kUserAbort) {
         ++w.stats.user_aborts;
-        w.telemetry.TxnUserAbort(TxnClass::kH);
+        w.telemetry.TxnUserAbort();
         return RunOutcome{false, TxnClass::kH, 0, txn_aborts};
       }
       ++txn_aborts;
@@ -203,7 +203,7 @@ class HsyncHybrid {
     } catch (const UserAbortSignal&) {
       ReleaseGlobalLock();
       ++w.stats.user_aborts;
-      w.telemetry.TxnUserAbort(TxnClass::kL);
+      w.telemetry.TxnUserAbort();
       return RunOutcome{false, TxnClass::kL, 0, txn_aborts};
     } catch (...) {
       ReleaseGlobalLock();
@@ -230,7 +230,7 @@ class HsyncHybrid {
     ReleaseGlobalLock();
     AccountWalCommit(w, wal);  // Ack barrier: global lock released.
     w.stats.RecordCommit(TxnClass::kL, fb.ops());
-    w.telemetry.TxnCommit(TxnClass::kL, fb.ops());
+    w.telemetry.TxnCommit(TxnClass::kL);
     BeatCommit(w);
     return RunOutcome{true, TxnClass::kL, fb.ops(), txn_aborts};
   }

@@ -142,13 +142,13 @@ class HtmTimestampOrdering {
       if (status.ok()) {
         AccountWalCommit(w, wal);  // Ack barrier: HW commit done.
         w.stats.RecordCommit(TxnClass::kH, hw.ops());
-        w.telemetry.TxnCommit(TxnClass::kH, hw.ops());
+        w.telemetry.TxnCommit(TxnClass::kH);
         return RunOutcome{true, TxnClass::kH, hw.ops(), txn_aborts};
       }
       const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
       if (verdict == HtmAttemptVerdict::kUserAbort) {
         ++w.stats.user_aborts;
-        w.telemetry.TxnUserAbort(TxnClass::kH);
+        w.telemetry.TxnUserAbort();
         return RunOutcome{false, TxnClass::kH, 0, txn_aborts};
       }
       ++txn_aborts;

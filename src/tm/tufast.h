@@ -100,29 +100,15 @@ class TuFastScheduler {
     /// routes its transactions to the next one in the Fig. 10 pipeline.
     bool enable_h_mode = true;
     bool enable_o_mode = true;
-    /// Group-commit fusion (tm/batch_executor.h): RunBatch() fuses runs
-    /// of small per-item transactions into single H-mode regions. Off =
-    /// RunBatch degenerates to one Run() per item (bit-identical
-    /// results; the equivalence tests rely on this).
-    bool enable_fusion = true;
-    /// Hard cap on the fusion width. The adaptive controller picks the
-    /// working width in [1, max_fusion_width] from the monitored
-    /// per-item abort probability (same P* analysis as the O period).
+    /// Hard cap on the group-commit fusion width (tm/batch_executor.h).
+    /// The adaptive controller picks the working width in
+    /// [1, max_fusion_width] from the monitored per-item abort
+    /// probability (same P* analysis as the O period).
     uint32_t max_fusion_width = 16;
     /// Non-zero pins the fusion width (bench fusion-width sweep);
-    /// 0 = adaptive.
+    /// 0 = adaptive. Width 1 runs RunBatch as one routed Run() per item
+    /// (bit-identical results; the equivalence tests rely on this).
     uint32_t fixed_fusion_width = 0;
-    /// Progress guard (tm/progress_guard.h, DESIGN.md "Progress guard").
-    /// enable_backoff gates the randomized exponential backoff between
-    /// conflict retries in all three loops (H attempts, O period
-    /// halvings, L victim restarts); off reproduces the pre-guard retry
-    /// pacing bit-for-bit. The starvation thresholds drive the
-    /// escalation ladder: priority aging (never a victim) past the
-    /// first, the global starvation token (other waiters defer, fusion
-    /// pauses) past the second.
-    bool enable_backoff = true;
-    uint32_t starvation_priority_threshold = 3;
-    uint32_t starvation_token_threshold = 8;
     /// Abort-storm circuit breaker (tm/contention_monitor.h): sustained
     /// attempt-abort rate routes small transactions straight to L and
     /// clamps fusion to width 1 until half-open probes recover.
@@ -194,10 +180,6 @@ class TuFastScheduler {
                               : htm.config().MaxLines() / 2),
         max_period_(config.max_period != 0 ? config.max_period
                                            : htm.config().MaxLines() / 2 - 16),
-        progress_guard_(ProgressGuard::Config{
-            .priority_threshold = config.starvation_priority_threshold,
-            .token_threshold = config.starvation_token_threshold,
-            .enabled = true}),
         runtime_(0x70f5a7u) {
     TUFAST_CHECK(max_period_ >= config_.min_period);
     if (config_.enable_mvcc) {
@@ -277,8 +259,9 @@ class TuFastScheduler {
   /// analysis applied to the per-item abort probability.
   ///
   /// `body(txn, i)` and `hint(i)` follow the batch_executor.h contract;
-  /// items whose hint exceeds the H threshold, and all items when fusion
-  /// or H mode is disabled, are routed per-item exactly like Run().
+  /// items whose hint exceeds the H threshold, and all items when the
+  /// fixed width is 1 or H mode is disabled, are routed per-item exactly
+  /// like Run().
   template <typename HintFn, typename BodyFn>
   void RunBatch(int worker_id, uint64_t lo, uint64_t hi, HintFn&& hint,
                 BodyFn&& body) {
@@ -351,9 +334,6 @@ class TuFastScheduler {
     /// WAL mutation staging (unused unless a WAL sink is attached).
     WalRecorder wal_recorder;
     CommitHookCtx<Mvcc> hook_ctx;
-    /// Last breaker state this worker's telemetry was told about; the
-    /// router diffs against the monitor to emit transition events.
-    BreakerState last_breaker = BreakerState::kClosed;
     /// Delegation scratch (only touched when sharding or combining is
     /// on): the local item list, the cells this batch call sent to, and
     /// one drain batch with its homes and duplicate-home flags.
@@ -385,7 +365,7 @@ class TuFastScheduler {
   template <typename HintFn, typename BodyFn, typename Probe = NullItemProbe>
   void RunBatchWindowed(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
                         HintFn& hint, BodyFn& body, Probe probe = {}) {
-    if (!config_.enable_fusion || !config_.enable_h_mode) {
+    if (!config_.enable_h_mode) {
       for (uint64_t i = lo; i < hi; ++i) {
         const RunOutcome out = RunItemRouted(w, worker_id, i, hint, body);
         if constexpr (Probe::kEnabled) probe.Attempt(i, out.aborts > 0);
@@ -497,7 +477,7 @@ class TuFastScheduler {
 
     void Attempt(uint64_t k, bool aborted) {
       if (history->RecordAttempt((*home)((*items)[k]), aborted)) {
-        RecordHotVertex(*w);
+        ++w->stats.hot_vertices;
       }
     }
   };
@@ -544,10 +524,7 @@ class TuFastScheduler {
       }
       if (!full && d.cell(c).ring.TryEnqueue(ActiveMessage{&frame, i})) {
         ++shipped;
-        if (!hot) {
-          ++w.stats.shard_messages_sent;
-          w.telemetry.ShardSend();
-        }
+        if (!hot) ++w.stats.shard_messages_sent;
         // A batch touches few distinct cells: hot regions are rare and
         // shards are per worker.
         if (std::find(sent.begin(), sent.end(), c) == sent.end()) {
@@ -556,10 +533,9 @@ class TuFastScheduler {
         continue;
       }
       if (hot) {
-        RecordCombineSlotFull(w);
+        ++w.stats.combine_slot_full;
       } else {
         ++w.stats.shard_mailbox_full;
-        w.telemetry.ShardMailboxFull();
       }
       local.push_back(i);
     }
@@ -664,16 +640,21 @@ class TuFastScheduler {
         }
       };
       RunBatchWindowed(w, worker_id, 0, batch.size(), dhint, dbody);
-      const auto n = static_cast<uint32_t>(batch.size());
+      const uint64_t n = batch.size();
+      SchedulerStats& st = w.stats;
       if (hot) {
-        RecordCombineBatch(w, n, depth);
+        ++st.combine_batches;
+        st.combined_ops += n;
+        st.combine_max_occupancy = std::max(st.combine_max_occupancy, depth);
         // More than one queued operation is direct evidence they would
         // have conflicted competitively — keep the region hot. Singleton
         // batches record a clean attempt, so a region whose storm has
         // passed cools (hysteresis lives in the history).
         for (const VertexId v : homes) d.history()->RecordAttempt(v, n > 1);
       } else {
-        RecordShardDrain(w, n, depth);
+        ++st.shard_drain_batches;
+        st.shard_messages_drained += n;
+        st.shard_max_mailbox_depth = std::max(st.shard_max_mailbox_depth, depth);
       }
       // One release per run of same-frame messages: each frame's last
       // decrement is this drainer's last touch of it.
@@ -741,26 +722,10 @@ class TuFastScheduler {
     // here: bisection isolates the aborting item at width 1, where the
     // router delivers the per-item user-abort semantics.
     w.state.monitor.RecordFusedAttempt(width, /*aborted=*/true);
-    RecordFusedAbort(w, static_cast<uint32_t>(width), attempt.status);
+    RecordFusedAbort(w, attempt.status);
     const uint64_t mid = lo + width / 2;
     ExecuteFusedRange(w, worker_id, lo, mid, hint, body, depth + 1, probe);
     ExecuteFusedRange(w, worker_id, mid, hi, hint, body, depth + 1, probe);
-  }
-
-  /// Emits breaker state-transition telemetry by diffing the monitor's
-  /// current state against the last one this worker reported. Called at
-  /// the router's decision points, which bracket every place a
-  /// transition can happen (RecordAttempt / BreakerShouldBypass /
-  /// TripBreaker); at most one transition occurs between observations.
-  void NoteBreakerState(Worker& w) {
-    const BreakerState s = w.state.monitor.breaker_state();
-    if (s == w.state.last_breaker) return;
-    switch (s) {
-      case BreakerState::kOpen: w.telemetry.BreakerTrip(); break;
-      case BreakerState::kHalfOpen: w.telemetry.BreakerHalfOpen(); break;
-      case BreakerState::kClosed: w.telemetry.BreakerClose(); break;
-    }
-    w.state.last_breaker = s;
   }
 
   /// The H-mode contexts record their write set only when MVCC is on.
@@ -776,8 +741,7 @@ class TuFastScheduler {
   /// Progress-guard context for this worker's lock-mode retry loop.
   ProgressContext MakeProgressContext(int worker_id,
                                       uint32_t prior_aborts) {
-    return ProgressContext{&progress_guard_, worker_id, prior_aborts,
-                           config_.enable_backoff};
+    return ProgressContext{&progress_guard_, worker_id, prior_aborts};
   }
 
   /// The Fig. 10 router shared by Run() and the batch executor's
@@ -798,11 +762,8 @@ class TuFastScheduler {
         w.state.monitor.TripBreaker();
       }
     }
-    NoteBreakerState(w);
     if (w.state.monitor.BreakerShouldBypass()) {
       ++w.stats.breaker_bypass;
-      w.telemetry.BreakerBypass();
-      NoteBreakerState(w);  // A bypass can step the breaker to half-open.
       return RunLockTxnLoop<Failpoints>(w, w.state.ltxn, fn, TxnClass::kL,
                                         MakeProgressContext(worker_id, 0));
     }
@@ -835,7 +796,7 @@ class TuFastScheduler {
           AccountWalCommit(w, WalRecorderFor(w));  // Ack: region retired.
           w.state.monitor.RecordAttempt(htxn.ops(), /*aborted=*/false);
           w.stats.RecordCommit(TxnClass::kH, htxn.ops());
-          w.telemetry.TxnCommit(TxnClass::kH, htxn.ops());
+          w.telemetry.TxnCommit(TxnClass::kH);
           BeatCommit(w);
           RecordTxnRetries(w, txn_aborts);
           return RunOutcome{true, TxnClass::kH, htxn.ops(), txn_aborts};
@@ -843,7 +804,7 @@ class TuFastScheduler {
         const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
         if (verdict == HtmAttemptVerdict::kUserAbort) {
           ++w.stats.user_aborts;
-          w.telemetry.TxnUserAbort(TxnClass::kH);
+          w.telemetry.TxnUserAbort();
           RecordTxnRetries(w, txn_aborts);
           return RunOutcome{false, TxnClass::kH, 0, txn_aborts};
         }
@@ -856,11 +817,8 @@ class TuFastScheduler {
         }
         // Conflict retry: back off so the conflicting peers drain
         // before the re-execution pays the whole body again.
-        if (config_.enable_backoff && attempt < h_retries) {
-          PayBackoff(w, txn_aborts - 1);
-        }
+        if (attempt < h_retries) PayBackoff(w, txn_aborts - 1);
       }
-      NoteBreakerState(w);  // The attempt stream can trip the breaker.
     }
 
     bool try_o = config_.enable_o_mode;
@@ -911,9 +869,18 @@ class TuFastScheduler {
     return owned_wal_.get();
   }
 
-  /// Stats merged across all workers. Call only while no transaction is
-  /// in flight (workers mutate their stats without synchronization).
-  SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }
+  /// Stats merged across all workers, with the breaker transitions each
+  /// worker's contention monitor counted. Call only while no transaction
+  /// is in flight (workers mutate their stats without synchronization).
+  SchedulerStats AggregatedStats() const {
+    SchedulerStats total = runtime_.AggregatedStats();
+    runtime_.ForEachWorker([&](const Worker& w) {
+      total.breaker_trips += w.state.monitor.breaker_trips();
+      total.breaker_half_opens += w.state.monitor.breaker_half_opens();
+      total.breaker_closes += w.state.monitor.breaker_closes();
+    });
+    return total;
+  }
 
   /// Serving front end (serving/server.h): record that worker
   /// `worker_id` started executing a request that sat `delay_ns` in the
@@ -928,9 +895,7 @@ class TuFastScheduler {
     if (delay_ns > w.stats.serve_max_queue_delay_ns) {
       w.stats.serve_max_queue_delay_ns = delay_ns;
     }
-    if constexpr (Telemetry::kEnabled) {
-      w.telemetry.ServeQueueDelay(delay_ns);
-    }
+    w.telemetry.ServeQueueDelay(delay_ns);
   }
 
   /// Telemetry merged across all workers (same in-flight contract).
@@ -949,7 +914,10 @@ class TuFastScheduler {
   }
 
   void ResetStats() {
-    runtime_.ResetStats([](State& s) { s.htx.ResetStats(); });
+    runtime_.ResetStats([](State& s) {
+      s.htx.ResetStats();
+      s.monitor.ResetBreakerCounts();
+    });
   }
 
   /// Monitor introspection for the adaptive-period trace (Fig. 17).
@@ -998,7 +966,7 @@ class TuFastScheduler {
               first_attempt ? TxnClass::kO : TxnClass::kOPlus;
           w.state.monitor.RecordAttempt(w.state.otxn.ops(), /*aborted=*/false);
           w.stats.RecordCommit(cls, w.state.otxn.ops());
-          w.telemetry.TxnCommit(cls, w.state.otxn.ops());
+          w.telemetry.TxnCommit(cls);
           BeatCommit(w);
           RecordTxnRetries(w, txn_aborts);
           return RunOutcome{true, cls, w.state.otxn.ops(), txn_aborts};
@@ -1015,7 +983,7 @@ class TuFastScheduler {
         const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
         if (verdict == HtmAttemptVerdict::kUserAbort) {
           ++w.stats.user_aborts;
-          w.telemetry.TxnUserAbort(TxnClass::kO);
+          w.telemetry.TxnUserAbort();
           RecordTxnRetries(w, txn_aborts);
           return RunOutcome{false, TxnClass::kO, 0, txn_aborts};
         }
@@ -1026,9 +994,7 @@ class TuFastScheduler {
       first_attempt = false;
       // Halved-period retry: back off before re-executing against the
       // same contenders.
-      if (config_.enable_backoff && period >= config_.min_period) {
-        PayBackoff(w, txn_aborts - 1);
-      }
+      if (period >= config_.min_period) PayBackoff(w, txn_aborts - 1);
     }
 
     return RunLockTxnLoop<Failpoints>(

@@ -179,7 +179,8 @@ inline void RecordTxnRetries(Worker& w, uint64_t aborts) {
   if (aborts > w.stats.max_txn_aborts) w.stats.max_txn_aborts = aborts;
 }
 
-/// Pays one progress-guard backoff and records it (stats + telemetry).
+/// Pays one progress-guard backoff: counted in stats, its pause count
+/// histogrammed in telemetry.
 template <typename Worker>
 inline void PayBackoff(Worker& w, uint32_t attempt) {
   const uint64_t pauses = ConflictBackoff(w.rng, attempt);
@@ -257,68 +258,24 @@ inline FusedAttemptResult RunFusedHtmAttempt(Tx& htx, HTxnT& htxn, uint64_t lo,
 }
 
 /// Accounting for a committed fused region: every item counts as one
-/// H-class commit in both stats and telemetry (Fig. 15 parity with the
-/// per-item path) plus the fusion packaging counters.
+/// H-class commit (Fig. 15 parity with the per-item path) plus the
+/// fusion packaging counters; telemetry histograms width and depth.
 template <typename Worker>
 inline void RecordFusedCommit(Worker& w, uint32_t width, uint32_t depth,
                               uint64_t ops) {
   w.stats.RecordFusedCommit(width, ops);
-  w.telemetry.FusedCommit(width, depth, ops);
+  w.telemetry.FusedCommit(width, depth);
 }
 
 /// Accounting for an aborted fused region that is about to be bisected:
 /// one fusion abort + one bisection, with the abort *reason* classified
 /// through the same RecordHtmAbort path the per-item loops use.
 template <typename Worker>
-inline HtmAttemptVerdict RecordFusedAbort(Worker& w, uint32_t width,
+inline HtmAttemptVerdict RecordFusedAbort(Worker& w,
                                           const AbortStatus& status) {
   ++w.stats.fusion_aborts;
   ++w.stats.fusion_bisections;
-  w.telemetry.FusionAbort(width);
   return RecordHtmAbort(w, status);
-}
-
-/// Accounting for one owner-cell drain batch (tm/delegation.h): `batch`
-/// messages popped for group-commit execution with `depth` messages
-/// visible at drain entry. Mirrors RecordFusedCommit so the stats and
-/// telemetry views of the active-message layer stay in lockstep.
-template <typename Worker>
-inline void RecordShardDrain(Worker& w, uint32_t batch, uint64_t depth) {
-  ++w.stats.shard_drain_batches;
-  w.stats.shard_messages_drained += batch;
-  if (depth > w.stats.shard_max_mailbox_depth) {
-    w.stats.shard_max_mailbox_depth = depth;
-  }
-  w.telemetry.ShardDrain(batch, depth);
-}
-
-/// Accounting for one hot-cell drain batch (tm/delegation.h): `ops`
-/// operations applied as one group-commit batch, `occupancy` messages
-/// visible at drain entry. Mirrors RecordShardDrain so the stats and
-/// telemetry views of the combining layer stay in lockstep.
-template <typename Worker>
-inline void RecordCombineBatch(Worker& w, uint32_t ops, uint64_t occupancy) {
-  ++w.stats.combine_batches;
-  w.stats.combined_ops += ops;
-  if (occupancy > w.stats.combine_max_occupancy) {
-    w.stats.combine_max_occupancy = occupancy;
-  }
-  w.telemetry.CombineBatch(ops, occupancy);
-}
-
-/// One hot-cell message bounced by a full ring; the operation runs
-/// locally instead (never dropped).
-template <typename Worker>
-inline void RecordCombineSlotFull(Worker& w) {
-  ++w.stats.combine_slot_full;
-  w.telemetry.CombineSlotFull();
-}
-
-/// One contention-history region this worker observed turning hot.
-template <typename Worker>
-inline void RecordHotVertex(Worker& w) {
-  ++w.stats.hot_vertices;
-  w.telemetry.HotVertex();
 }
 
 /// Scope guard releasing a progress guard's per-slot escalation state
@@ -348,23 +305,15 @@ inline void OnLockVictimAbort(Worker& w, const ProgressContext& ctx,
     switch (ctx.guard->OnAbort(ctx.slot, aborts)) {
       case ProgressGuard::Escalation::kStarved:
         ++w.stats.starvation_escalations;
-        w.telemetry.StarvationEscalated();
         break;
       case ProgressGuard::Escalation::kToken:
         ++w.stats.starvation_tokens;
-        w.telemetry.StarvationToken();
         break;
       case ProgressGuard::Escalation::kNone:
         break;
     }
   }
-  if (ctx.enable_backoff) {
-    PayBackoff(w, aborts - 1);
-  } else {
-    // Legacy pacing (pre-progress-guard, bit-for-bit): same exponential
-    // randomized wait, no accounting.
-    DeadlockRetryBackoff(w.rng, aborts - 1);
-  }
+  PayBackoff(w, aborts - 1);
 }
 
 /// Two-phase-locking retry loop shared by TuFast's L mode and the 2PL
@@ -408,11 +357,9 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
         switch (ctx.guard->ForceEscalate(ctx.slot)) {
           case ProgressGuard::Escalation::kToken:
             ++w.stats.starvation_tokens;
-            w.telemetry.StarvationToken();
             [[fallthrough]];
           case ProgressGuard::Escalation::kStarved:
             ++w.stats.starvation_escalations;
-            w.telemetry.StarvationEscalated();
             break;
           case ProgressGuard::Escalation::kNone:
             break;
@@ -428,13 +375,13 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       AccountWalCommitFromTxn(w, ltxn);  // Ack barrier: no locks held.
       BeatCommit(w);
       w.stats.RecordCommit(cls, ltxn.ops());
-      w.telemetry.TxnCommit(cls, ltxn.ops());
+      w.telemetry.TxnCommit(cls);
       RecordTxnRetries(w, aborts);
       return RunOutcome{true, cls, ltxn.ops(), aborts};
     } catch (const UserAbortSignal&) {
       // LockReleaseGuard frees the lock set on unwind.
       ++w.stats.user_aborts;
-      w.telemetry.TxnUserAbort(cls);
+      w.telemetry.TxnUserAbort();
       RecordTxnRetries(w, aborts);
       return RunOutcome{false, cls, 0, aborts};
     } catch (const DeadlockVictimSignal&) {
@@ -591,7 +538,7 @@ RunOutcome RunOptimisticRetryLoop(Worker& w, Txn& txn, Fn& fn, ResetFn reset,
         AccountWalCommitFromTxn(w, txn);  // Ack barrier: locks released.
         BeatCommit(w);
         w.stats.RecordCommit(TxnClass::kO, txn.ops());
-        w.telemetry.TxnCommit(TxnClass::kO, txn.ops());
+        w.telemetry.TxnCommit(TxnClass::kO);
         RecordTxnRetries(w, aborts);
         return RunOutcome{true, TxnClass::kO, txn.ops(), aborts};
       }
@@ -600,7 +547,7 @@ RunOutcome RunOptimisticRetryLoop(Worker& w, Txn& txn, Fn& fn, ResetFn reset,
     } catch (const UserAbortSignal&) {
       rollback(txn);
       ++w.stats.user_aborts;
-      w.telemetry.TxnUserAbort(TxnClass::kO);
+      w.telemetry.TxnUserAbort();
       RecordTxnRetries(w, aborts);
       return RunOutcome{false, TxnClass::kO, 0, aborts};
     } catch (const AbortSignal&) {

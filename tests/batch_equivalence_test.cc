@@ -110,13 +110,13 @@ FailpointPlan::Config CapacityChaos(uint64_t seed) {
   return config;
 }
 
-/// Detects a scheduler Config with the fusion toggles (TuFast only).
+/// Detects a scheduler Config with the fusion-width knob (TuFast only).
 template <typename S, typename = void>
 struct SchedulerConfigHasFusion : std::false_type {};
 template <typename S>
 struct SchedulerConfigHasFusion<
     S, std::void_t<decltype(std::declval<typename S::Config&>()
-                                .enable_fusion)>> : std::true_type {};
+                                .fixed_fusion_width)>> : std::true_type {};
 
 template <typename Scheduler>
 class BatchEquivalenceTest : public ::testing::Test {};
@@ -156,32 +156,19 @@ TYPED_TEST(BatchEquivalenceTest, FusionOnAndOffAgreeUnderAborts) {
     ThreadPool pool(1);
     struct Variant {
       const char* label;
-      bool enable_fusion;
-      uint32_t fixed_width;
-      bool enable_backoff;
+      uint32_t fixed_width;  // 0 = adaptive; 1 = fusion off (per item).
     };
-    // The two backoff variants pin the progress-guard acceptance
-    // criterion: enable_backoff only changes retry *pacing* (how long a
-    // deterministic single-threaded run spins between attempts), never
-    // which attempts happen, so the results must stay bit-identical to
-    // the golden run — and to each other — with it on or off.
     for (const Variant& variant :
-         {Variant{"fusion off", false, 0, true},
-          Variant{"fusion on", true, 0, true},
-          Variant{"fixed width 4", true, 4, true},
-          Variant{"fixed width 16", true, 16, true},
-          Variant{"fusion on, backoff off", true, 0, false},
-          Variant{"fusion off, backoff off", false, 0, false}}) {
+         {Variant{"fixed width 1", 1}, Variant{"fusion on", 0},
+          Variant{"fixed width 4", 4}, Variant{"fixed width 16", 16}}) {
       FaultyHtm htm;
       typename Scheduler::Config config;
-      config.enable_fusion = variant.enable_fusion;
       config.fixed_fusion_width = variant.fixed_width;
-      config.enable_backoff = variant.enable_backoff;
       Scheduler tm(htm, n, config);
       FailpointPlan plan(CapacityChaos(/*seed=*/6));
       FailpointScope scope(plan);
       ExpectBitIdentical(RunConvertedAlgorithms(tm, pool), variant.label);
-      if (variant.enable_fusion) {
+      if (variant.fixed_width != 1) {
         EXPECT_GT(tm.AggregatedStats().fused_regions, 0u) << variant.label;
       } else {
         EXPECT_EQ(tm.AggregatedStats().fused_regions, 0u) << variant.label;

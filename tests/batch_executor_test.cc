@@ -2,8 +2,8 @@
 // TuFastScheduler::RunBatch): group-commit fusion of consecutive small
 // H transactions, capacity-aware bisection on abort, degradation to the
 // per-item router at width 1, the adaptive fusion-width controller, and
-// the fused-commit accounting parity between SchedulerStats and
-// telemetry that the fig15 cross-check relies on.
+// the fused-commit accounting parity between SchedulerStats counts and
+// the telemetry histograms.
 
 #include <cstdint>
 #include <vector>
@@ -64,7 +64,7 @@ TEST(BatchExecutorTest, NonFusionSchedulerFallsBackToPerItemRun) {
 TEST(BatchExecutorTest, FusionDisabledRoutesPerItem) {
   EmulatedHtm htm;
   TuFast::Config config;
-  config.enable_fusion = false;
+  config.fixed_fusion_width = 1;
   TuFast tm(htm, kVertices, config);
   std::vector<TmWord> values(kVertices, 0);
   IncrementBatch(tm, values, 64);
@@ -117,22 +117,23 @@ TEST(BatchExecutorTest, BudgetCapsFusionWidth) {
 }
 
 TEST(BatchExecutorTest, StatsAndTelemetryAgreeOnFusedCommits) {
-  // The fig15 cross-check invariant: per-class commit counts and ops in
-  // SchedulerStats and EventTelemetry must match on the fused path.
+  // The fused path counts in SchedulerStats and histograms in telemetry:
+  // one width sample per committed region, one begin per fused item, and
+  // no per-transaction latency sample for items that committed fused.
   EmulatedHtm htm;
   TuFastInstrumented tm(htm, kVertices);
   std::vector<TmWord> values(kVertices, 0);
   IncrementBatch(tm, values, 64);
   const SchedulerStats stats = tm.AggregatedStats();
-  const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-  for (int c = 0; c < kNumTxnClasses; ++c) {
-    EXPECT_EQ(stats.class_count[c], snap.commits[c]) << "class " << c;
-    EXPECT_EQ(stats.class_ops[c], snap.commit_ops[c]) << "class " << c;
-  }
-  EXPECT_EQ(stats.fused_regions, snap.fused_regions);
-  EXPECT_EQ(stats.fused_items, snap.fused_items);
-  EXPECT_EQ(snap.fusion_aborts, 0u);
-  EXPECT_GT(snap.fusion_width_hist.count(), 0u);
+  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
+  EXPECT_GT(stats.fused_regions, 0u);
+  EXPECT_EQ(stats.fusion_aborts, 0u);
+  EXPECT_EQ(snap.fusion_width_hist.count(), stats.fused_regions);
+  EXPECT_EQ(snap.fusion_width_hist.sum(), stats.fused_items);
+  EXPECT_EQ(snap.begins, stats.commits + stats.user_aborts);
+  constexpr int kH = static_cast<int>(TxnClass::kH);
+  EXPECT_EQ(snap.commit_latency_ns[kH].count() + stats.fused_items,
+            stats.class_count[kH]);
 }
 
 TEST(BatchExecutorTest, ForcedCapacityAbortBisectsAndCommitsAll) {
@@ -160,8 +161,7 @@ TEST(BatchExecutorTest, ForcedCapacityAbortBisectsAndCommitsAll) {
   EXPECT_GE(stats.fusion_bisections, 1u);
   EXPECT_EQ(stats.fused_regions, 2u);  // Two 8-wide halves committed.
   EXPECT_EQ(stats.fused_items, 16u);
-  const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.fusion_aborts, 1u);
+  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
   EXPECT_GE(snap.bisection_depth_hist.max(), 1u);  // Committed at depth 1.
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,26 +162,28 @@ TEST(LockManagerProgressTest, MutuallyStarvedDeadlockResolvesPromptly) {
 // ProgressGuard: the escalation ladder.
 
 TEST(ProgressGuardTest, LadderEscalatesAtTheConfiguredThresholds) {
-  ProgressGuard guard(ProgressGuard::Config{.priority_threshold = 3,
-                                            .token_threshold = 8,
-                                            .enabled = true});
-  EXPECT_EQ(guard.OnAbort(0, 1), ProgressGuard::Escalation::kNone);
-  EXPECT_EQ(guard.OnAbort(0, 2), ProgressGuard::Escalation::kNone);
-  EXPECT_FALSE(guard.Protected(0));
-  EXPECT_EQ(guard.OnAbort(0, 3), ProgressGuard::Escalation::kStarved);
-  EXPECT_TRUE(guard.Protected(0));
-  for (uint32_t aborts = 4; aborts < 8; ++aborts) {
+  constexpr uint32_t kPriority = kStarvationPriorityThreshold;
+  constexpr uint32_t kToken = kStarvationTokenThreshold;
+  static_assert(kPriority == 3 && kToken == 8);
+  ProgressGuard guard;
+  for (uint32_t aborts = 1; aborts < kPriority; ++aborts) {
     EXPECT_EQ(guard.OnAbort(0, aborts), ProgressGuard::Escalation::kNone);
   }
-  EXPECT_EQ(guard.OnAbort(0, 8), ProgressGuard::Escalation::kToken);
+  EXPECT_FALSE(guard.Protected(0));
+  EXPECT_EQ(guard.OnAbort(0, kPriority), ProgressGuard::Escalation::kStarved);
+  EXPECT_TRUE(guard.Protected(0));
+  for (uint32_t aborts = kPriority + 1; aborts < kToken; ++aborts) {
+    EXPECT_EQ(guard.OnAbort(0, aborts), ProgressGuard::Escalation::kNone);
+  }
+  EXPECT_EQ(guard.OnAbort(0, kToken), ProgressGuard::Escalation::kToken);
   EXPECT_TRUE(guard.signals().TokenHeld());
   // A second slot at the token threshold cannot take the busy token.
-  EXPECT_EQ(guard.OnAbort(1, 8), ProgressGuard::Escalation::kNone);
+  EXPECT_EQ(guard.OnAbort(1, kToken), ProgressGuard::Escalation::kNone);
   guard.OnTxnDone(0);
   EXPECT_FALSE(guard.Protected(0));
   EXPECT_FALSE(guard.signals().TokenHeld());
   // Token free again: the starving peer can now take it.
-  EXPECT_EQ(guard.OnAbort(1, 9), ProgressGuard::Escalation::kToken);
+  EXPECT_EQ(guard.OnAbort(1, kToken + 1), ProgressGuard::Escalation::kToken);
   guard.OnTxnDone(1);
 }
 
@@ -194,17 +197,6 @@ TEST(ProgressGuardTest, ForceEscalateJumpsToTheTokenWhenFree) {
   guard.OnTxnDone(0);
   guard.OnTxnDone(1);
   EXPECT_FALSE(guard.signals().AnyStarved());
-}
-
-TEST(ProgressGuardTest, DisabledGuardIsInert) {
-  ProgressGuard guard(ProgressGuard::Config{.priority_threshold = 1,
-                                            .token_threshold = 2,
-                                            .enabled = false});
-  EXPECT_EQ(guard.OnAbort(0, 100), ProgressGuard::Escalation::kNone);
-  EXPECT_EQ(guard.ForceEscalate(0), ProgressGuard::Escalation::kNone);
-  EXPECT_FALSE(guard.Protected(0));
-  EXPECT_FALSE(guard.signals().AnyStarved());
-  EXPECT_FALSE(guard.signals().TokenHeld());
 }
 
 // ---------------------------------------------------------------------
@@ -304,34 +296,68 @@ TEST(BreakerTest, StateNamesForDiagnostics) {
 // exact same deterministic round trip the micro_ops_benchmark "progress
 // guard" table pins in BENCH_baseline.json.
 
-TEST(TuFastBreakerTest, ForcedTripRoundTripIsVisibleInTelemetry) {
-  FaultyHtm htm;
-  TuFastScheduler<FaultyHtm, EventTelemetry> tm(htm, 1024);
+/// Runs the forced-trip round trip: trip on the first routed
+/// transaction, bypass the open window, admit the half-open probes
+/// (which all commit), and close.
+template <typename Scheduler>
+void RunForcedBreakerTrip(Scheduler& tm, uint64_t txns) {
   std::vector<TmWord> values(1024, 0);
   FailpointPlan plan(FailpointPlan::Config{});
   plan.ForceAt(FailSite::kBreakerTrip, 0, 0, FailAction::kFail);
   FailpointScope scope(plan);
-  constexpr uint64_t kTxns = 200;
   VertexId v = 0;
-  for (uint64_t t = 0; t < kTxns; ++t) {
+  for (uint64_t t = 0; t < txns; ++t) {
     const RunOutcome outcome = tm.Run(0, 2, [&](auto& txn) {
       txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
     });
     EXPECT_TRUE(outcome.committed);
     v = (v + 1) & 1023;
   }
-  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.breaker_trips, 1u);
-  EXPECT_EQ(snap.breaker_half_opens, 1u);
-  EXPECT_EQ(snap.breaker_closes, 1u);
-  EXPECT_EQ(snap.breaker_bypass,
-            uint64_t{ContentionMonitor::Config{}.breaker_open_txns});
+}
+
+TEST(TuFastBreakerTest, ForcedTripRoundTripIsVisibleInTelemetry) {
+  FaultyHtm htm;
+  TuFastScheduler<FaultyHtm, EventTelemetry> tm(htm, 1024);
+  constexpr uint64_t kTxns = 200;
+  RunForcedBreakerTrip(tm, kTxns);
   const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.breaker_bypass, snap.breaker_bypass);
+  EXPECT_EQ(stats.breaker_trips, 1u);
+  EXPECT_EQ(stats.breaker_half_opens, 1u);
+  EXPECT_EQ(stats.breaker_closes, 1u);
+  EXPECT_EQ(stats.breaker_bypass,
+            uint64_t{ContentionMonitor::Config{}.breaker_open_txns});
   EXPECT_EQ(stats.commits, kTxns) << "the breaker reroutes, never drops";
   // Bypassed transactions went to L; the rest stayed on the H path.
   EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)],
-            snap.breaker_bypass);
+            stats.breaker_bypass);
+  // Telemetry still times every one of them: an unfused run gives each
+  // committed transaction exactly one latency sample in its class.
+  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
+  for (int c = 0; c < kNumTxnClasses; ++c) {
+    EXPECT_EQ(snap.commit_latency_ns[c].count(), stats.class_count[c])
+        << "class " << c;
+  }
+}
+
+TEST(TuFastBreakerTest, AggregatedBreakerCountsAreTheMonitorsAndReset) {
+  FaultyHtm htm;
+  TuFastScheduler<FaultyHtm> tm(htm, 1024);
+  RunForcedBreakerTrip(tm, 200);
+  const ContentionMonitor* monitor = tm.MonitorForWorker(0);
+  ASSERT_NE(monitor, nullptr);
+  SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.breaker_trips, monitor->breaker_trips());
+  EXPECT_EQ(stats.breaker_half_opens, monitor->breaker_half_opens());
+  EXPECT_EQ(stats.breaker_closes, monitor->breaker_closes());
+  EXPECT_EQ(stats.breaker_trips, 1u);
+
+  tm.ResetStats();
+  stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.breaker_trips, 0u);
+  EXPECT_EQ(stats.breaker_half_opens, 0u);
+  EXPECT_EQ(stats.breaker_closes, 0u);
+  EXPECT_EQ(stats.breaker_bypass, 0u);
+  EXPECT_EQ(monitor->breaker_state(), BreakerState::kClosed);
 }
 
 TEST(TuFastBreakerTest, DisabledBreakerIgnoresTheTripFailpoint) {
@@ -374,15 +400,14 @@ TEST(TuFastStarvationTest, ForcedVictimReabortsEscalateThenCommit) {
   });
   EXPECT_TRUE(outcome.committed);
   EXPECT_EQ(values[0], 1u);
-  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.starvation_escalations, 1u);
-  EXPECT_EQ(snap.max_txn_aborts,
-            uint64_t{tm.config().starvation_priority_threshold})
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.starvation_escalations, 1u);
+  EXPECT_EQ(stats.max_txn_aborts, uint64_t{kStarvationPriorityThreshold})
       << "priority aging must make the slot immune to further injected "
          "victim aborts";
-  EXPECT_EQ(snap.backoff_events, snap.max_txn_aborts)
+  EXPECT_EQ(stats.backoff_events, stats.max_txn_aborts)
       << "one paced backoff per victim abort";
-  EXPECT_GT(snap.backoff_pauses, 0u);
+  EXPECT_GT(tm.AggregatedTelemetry().Snapshot().backoff_pauses, 0u);
   // The ladder cleans up after commit.
   EXPECT_FALSE(tm.progress_guard().signals().AnyStarved());
   EXPECT_FALSE(tm.progress_guard().signals().TokenHeld());
@@ -400,35 +425,9 @@ TEST(TuFastStarvationTest, ForcedTokenIsAcquiredAndReleased) {
     txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
   });
   EXPECT_TRUE(outcome.committed);
-  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.starvation_tokens, 1u);
   EXPECT_FALSE(tm.progress_guard().signals().TokenHeld())
       << "OnTxnDone must release the token at commit";
-  const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.starvation_tokens, 1u);
-}
-
-TEST(TuFastStarvationTest, BackoffDisabledKeepsCountersAtZero) {
-  FaultyHtm htm;
-  typename TuFastScheduler<FaultyHtm>::Config config;
-  config.enable_backoff = false;
-  TuFastScheduler<FaultyHtm> tm(htm, 64, config);
-  std::vector<TmWord> values(64, 0);
-  FailpointPlan plan(FailpointPlan::Config{});
-  for (uint64_t hit = 0; hit < 8; ++hit) {
-    plan.ForceAt(FailSite::kVictimReabort, 0, hit, FailAction::kFail);
-  }
-  FailpointScope scope(plan);
-  const RunOutcome outcome =
-      tm.Run(0, tm.config().o_hint_threshold + 1, [&](auto& txn) {
-        txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
-      });
-  EXPECT_TRUE(outcome.committed);
-  const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.backoff_events, 0u)
-      << "enable_backoff=false must fall back to the legacy pacing";
-  EXPECT_GT(stats.max_txn_aborts, 0u)
-      << "the escalation ladder is independent of the backoff switch";
+  EXPECT_EQ(tm.AggregatedStats().starvation_tokens, 1u);
 }
 
 TEST(TuFastStarvationTest, SameSeedReplaysIdenticalBackoffSequence) {
@@ -452,13 +451,14 @@ TEST(TuFastStarvationTest, SameSeedReplaysIdenticalBackoffSequence) {
         txn.Write(v, &values[v], txn.ReadForUpdate(v, &values[v]) + 1);
       });
     }
-    return tm.AggregatedTelemetry().Snapshot();
+    return std::pair(tm.AggregatedStats(),
+                     tm.AggregatedTelemetry().Snapshot().backoff_pauses);
   };
-  const TelemetrySnapshot a = run_once();
-  const TelemetrySnapshot b = run_once();
+  const auto [a, a_pauses] = run_once();
+  const auto [b, b_pauses] = run_once();
   EXPECT_GT(a.backoff_events, 0u) << "the plan must provoke some retries";
   EXPECT_EQ(a.backoff_events, b.backoff_events);
-  EXPECT_EQ(a.backoff_pauses, b.backoff_pauses);
+  EXPECT_EQ(a_pauses, b_pauses);
   EXPECT_EQ(a.starvation_escalations, b.starvation_escalations);
   EXPECT_EQ(a.max_txn_aborts, b.max_txn_aborts);
 }
@@ -482,8 +482,7 @@ TEST(TuFastStarvationTest, HeldTokenPausesFusion) {
           txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
         });
     for (VertexId v = 0; v < kVertices; ++v) EXPECT_EQ(values[v], 1u);
-    const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-    EXPECT_EQ(snap.fused_regions, 0u)
+    EXPECT_EQ(tm.AggregatedStats().fused_regions, 0u)
         << "fusion must pause while the starvation token is held";
     tm.progress_guard().signals().ReleaseToken(63);
   }
@@ -497,8 +496,7 @@ TEST(TuFastStarvationTest, HeldTokenPausesFusion) {
           txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
         });
     for (VertexId v = 0; v < kVertices; ++v) EXPECT_EQ(values[v], 1u);
-    const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-    EXPECT_GT(snap.fused_regions, 0u)
+    EXPECT_GT(tm.AggregatedStats().fused_regions, 0u)
         << "with the token free the same batch must fuse";
   }
 }
