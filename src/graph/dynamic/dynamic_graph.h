@@ -513,6 +513,9 @@ class DynamicGraph {
   /// upgrade can deadlock).
   template <typename Txn>
   void ApplyGroupInTxn(Txn& txn, GroupCtx& g) {
+    // Every access below is guarded by g.u, so TuFast runs a group that
+    // leaves H in L: O's commit would take u's exclusive lock anyway.
+    if constexpr (requires { txn.OnlyVertex(g.u); }) txn.OnlyVertex(g.u);
     // Durable builds: stage the logical mutations for the WAL. Staging is
     // idempotent across re-executions — aborted attempts clear the stage
     // (Reset / on_begin hook) before the body re-runs, so exactly the

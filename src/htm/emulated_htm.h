@@ -1,10 +1,12 @@
 #ifndef TUFAST_HTM_EMULATED_HTM_H_
 #define TUFAST_HTM_EMULATED_HTM_H_
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/compiler.h"
@@ -66,10 +68,20 @@ class BasicEmulatedHtm {
   explicit BasicEmulatedHtm(HtmConfig config = {}) : config_(config) {
     TUFAST_CHECK(std::has_single_bit(config_.num_sets));
     TUFAST_CHECK(config_.num_ways >= 1);
-    const uint64_t table_size = uint64_t{1} << config_.table_bits;
-    table_mask_ = table_size - 1;
-    table_ = std::vector<LineEntry>(table_size);
+    TUFAST_CHECK(config_.table_bits < 40);
+    const uint64_t min_entries = uint64_t{1} << config_.table_bits;
+    num_buckets_ = (min_entries + kEntriesPerBucket - 1) / kEntriesPerBucket;
+    num_entries_ = num_buckets_ * kEntriesPerBucket;
+    // Anonymous pages read as zero, which is every entry's empty state:
+    // untouched pages never become resident, and the destructor gives
+    // the whole table back to the OS (a heap array would stay in the
+    // allocator once glibc's mmap threshold has risen).
+    void* mem = mmap(nullptr, TableBytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    TUFAST_CHECK(mem != MAP_FAILED);
+    table_ = static_cast<Bucket*>(mem);
   }
+  ~BasicEmulatedHtm() { munmap(table_, TableBytes()); }
   TUFAST_DISALLOW_COPY_AND_MOVE(BasicEmulatedHtm);
 
   class Tx;
@@ -80,17 +92,17 @@ class BasicEmulatedHtm {
   /// have the line in their footprint. Use for all shared writes made
   /// outside transactions (lock releases, O/L-mode commit writes).
   void NonTxStore(TmWord* addr, TmWord value) {
-    LineEntry& e = EntryFor(htm_internal::LineOf(addr));
+    const Entry e = EntryFor(htm_internal::LineOf(addr));
     Backoff backoff;
     while (true) {
-      LockEntry(e);
-      const int drain = ClearForeignOwners(e, /*self_slot=*/-1);
+      int writer = LockEntry(e);
+      const int drain = ClearForeignOwners(e, &writer, /*self_slot=*/-1);
       if (drain < 0) {
         __atomic_store_n(addr, value, __ATOMIC_RELEASE);
-        UnlockEntry(e);
+        UnlockEntry(e, writer);
         return;
       }
-      UnlockEntry(e);
+      UnlockEntry(e, writer);
       // Wait for the committing owner to finish flushing.
       WaitForDrain(e, drain, backoff);
     }
@@ -100,12 +112,12 @@ class BasicEmulatedHtm {
   /// after mutating a shared word through some other atomic operation
   /// (e.g. a lock-word CAS).
   void NotifyNonTxWrite(const void* addr) {
-    LineEntry& e = EntryFor(htm_internal::LineOf(addr));
+    const Entry e = EntryFor(htm_internal::LineOf(addr));
     Backoff backoff;
     while (true) {
-      LockEntry(e);
-      const int drain = ClearForeignOwners(e, /*self_slot=*/-1);
-      UnlockEntry(e);
+      int writer = LockEntry(e);
+      const int drain = ClearForeignOwners(e, &writer, /*self_slot=*/-1);
+      UnlockEntry(e, writer);
       if (drain < 0) return;
       WaitForDrain(e, drain, backoff);
     }
@@ -127,37 +139,89 @@ class BasicEmulatedHtm {
   /// The native backend uses a plain load (a real XEND is atomic; there
   /// is no window where a committed transaction is still flushing).
   TmWord DrainLoad(const TmWord* addr) {
-    LineEntry& e = EntryFor(htm_internal::LineOf(addr));
+    const Entry e = EntryFor(htm_internal::LineOf(addr));
     Backoff backoff;
     while (true) {
-      LockEntry(e);
-      const int16_t writer = e.writer.load(std::memory_order_relaxed);
+      const int writer = LockEntry(e);
       if (writer < 0 || !DoomMustWait(writer)) {
         // No writer, or one doomed before its commit point: its buffered
         // write can never land, so current memory is committed state.
         const TmWord value = __atomic_load_n(addr, __ATOMIC_ACQUIRE);
-        UnlockEntry(e);
+        UnlockEntry(e, writer);
         return value;
       }
-      UnlockEntry(e);
+      UnlockEntry(e, writer);
       // Committing writer: wait (yielding) for its write-back to drain.
-      while (e.writer.load(std::memory_order_acquire) == writer) {
-        backoff.Pause();
-      }
+      while (e.Writer(std::memory_order_acquire) == writer) backoff.Pause();
     }
+  }
+
+  /// Conflict-table geometry: at least 2^table_bits entries, packed
+  /// kEntriesPerBucket to a cache line.
+  static constexpr uint64_t kEntriesPerBucket = 7;
+  uint64_t NumEntries() const { return num_entries_; }
+  size_t TableBytes() const { return num_buckets_ * sizeof(Bucket); }
+
+  /// Test seams: the entry `addr`'s line hashes to (bucket =
+  /// index / kEntriesPerBucket), the table's base address, and one
+  /// entry's state, read without taking its spin bit.
+  struct EntryState {
+    bool locked;
+    int writer;  // -1 = none
+    uint64_t readers;
+  };
+  uint64_t EntryIndexForTest(const void* addr) const {
+    return EntryIndex(htm_internal::LineOf(addr));
+  }
+  const void* TableBaseForTest() const { return table_; }
+  EntryState EntryStateForTest(uint64_t index) const {
+    const Entry e = EntryAt(index);
+    const uint8_t meta = e.meta().load(std::memory_order_acquire);
+    return EntryState{(meta & kEntryLockBit) != 0, WriterOf(meta),
+                      e.readers().load(std::memory_order_acquire)};
   }
 
  private:
   friend class Tx;
 
-  /// One conflict-table entry: which transaction slots currently have the
-  /// (hashed) line in their read set, and which single slot owns it for
-  /// writing. Guarded by its spin bit; critical sections are a few ns.
-  struct alignas(16) LineEntry {
-    std::atomic<bool> lock{false};
-    std::atomic<int16_t> writer{-1};
-    std::atomic<uint64_t> readers{0};
+  /// The conflict table: each entry records which transaction slots have
+  /// the (hashed) line in their read set (`readers`) and which single
+  /// slot owns it for writing. An entry's `meta` byte packs its spin bit
+  /// with the writer's slot + 1 (0 = no writer), so an all-zero entry is
+  /// empty and a fresh anonymous mapping needs no initialization. Seven
+  /// 9-byte entries fill one cache line, so an access still touches one
+  /// line; critical sections under the spin bit are a few ns.
+  static_assert(kMaxHtmThreads < 128, "writer slot + 1 must fit 7 bits");
+  static constexpr uint8_t kEntryLockBit = 0x80;
+  static constexpr uint8_t kWriterMask = 0x7f;
+
+  /// Plain words, so mapped zero pages already hold valid buckets; every
+  /// access goes through std::atomic_ref.
+  struct alignas(kCacheLineBytes) Bucket {
+    uint64_t readers[kEntriesPerBucket];
+    uint8_t meta[kEntriesPerBucket];
   };
+  static_assert(sizeof(Bucket) == kCacheLineBytes);
+
+  /// Handle to one entry: its meta byte and reader bitmap.
+  struct Entry {
+    uint8_t* meta_byte;
+    uint64_t* reader_bits;
+
+    std::atomic_ref<uint8_t> meta() const {
+      return std::atomic_ref<uint8_t>(*meta_byte);
+    }
+    std::atomic_ref<uint64_t> readers() const {
+      return std::atomic_ref<uint64_t>(*reader_bits);
+    }
+    int Writer(std::memory_order order) const {
+      return WriterOf(meta().load(order));
+    }
+  };
+
+  static int WriterOf(uint8_t meta) {
+    return static_cast<int>(meta & kWriterMask) - 1;
+  }
 
   /// Per-worker doom flag plus commit-progress marker, padded to avoid
   /// false sharing between slots. `progress` and `doomed` form a Dekker
@@ -175,7 +239,7 @@ class BasicEmulatedHtm {
 
   /// Dooms `slot` and reports whether the caller must wait for its line
   /// ownership to drain (true) or may displace it immediately (false).
-  bool DoomMustWait(int16_t slot) {
+  bool DoomMustWait(int slot) {
     // Requester wins: doom the owner. If it already published kCommitting
     // it may be flushing its buffer, so the caller must wait for the
     // ownership to drain; otherwise the Dekker handshake guarantees it
@@ -186,30 +250,49 @@ class BasicEmulatedHtm {
            TxSlot::kCommitting;
   }
 
-  LineEntry& EntryFor(uintptr_t line) {
-    return table_[HashLine(line) & table_mask_];
+  /// Multiply-high maps the hash's well-mixed top bits onto
+  /// [0, num_entries_) without a power-of-two entry count.
+  uint64_t EntryIndex(uintptr_t line) const {
+    return static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(HashLine(line)) * num_entries_) >> 64);
   }
+  Entry EntryAt(uint64_t index) const {
+    Bucket& b = table_[index / kEntriesPerBucket];
+    const uint64_t lane = index % kEntriesPerBucket;
+    return Entry{&b.meta[lane], &b.readers[lane]};
+  }
+  Entry EntryFor(uintptr_t line) const { return EntryAt(EntryIndex(line)); }
 
   static uint64_t HashLine(uintptr_t line) {
     uint64_t z = static_cast<uint64_t>(line) * 0x9e3779b97f4a7c15ULL;
     return z ^ (z >> 29);
   }
 
-  static void LockEntry(LineEntry& e) {
+  /// Takes `e`'s spin bit and returns its writer slot (-1 = none).
+  static int LockEntry(Entry e) {
     Backoff backoff;
     while (true) {
-      if (!e.lock.exchange(true, std::memory_order_acquire)) return;
-      while (e.lock.load(std::memory_order_relaxed)) backoff.Pause();
+      const uint8_t meta =
+          e.meta().fetch_or(kEntryLockBit, std::memory_order_acquire);
+      if ((meta & kEntryLockBit) == 0) return WriterOf(meta);
+      while (e.meta().load(std::memory_order_relaxed) & kEntryLockBit) {
+        backoff.Pause();
+      }
     }
   }
-  static void UnlockEntry(LineEntry& e) {
-    e.lock.store(false, std::memory_order_release);
+  /// Publishes `writer` (-1 = none) and drops the spin bit in one store.
+  /// Contenders only ever set the already-set spin bit, so the holder
+  /// owns the byte until this store.
+  static void UnlockEntry(Entry e, int writer) {
+    e.meta().store(static_cast<uint8_t>(writer + 1),
+                   std::memory_order_release);
   }
 
   /// Dooms the writer (if foreign) and all foreign readers of a locked
-  /// entry. Returns -1 when the line is clear, or the slot of a foreign
-  /// owner past its commit point that must drain first; the entry stays
-  /// locked either way.
+  /// entry whose writer the caller holds in `*writer` (set to -1 when the
+  /// writer is displaced). Returns -1 when the line is clear, or the slot
+  /// of a foreign owner past its commit point that must drain first; the
+  /// entry stays locked either way.
   ///
   /// A committing writer always drains first. A committing reader drains
   /// first only for a non-transactional requester (self_slot < 0): the
@@ -220,26 +303,25 @@ class BasicEmulatedHtm {
   /// needs to wait for a reader: its own writes stay buffered until it
   /// commits. Committing readers keep their bit either way, so a later
   /// non-transactional requester still finds them.
-  int ClearForeignOwners(LineEntry& e, int self_slot) {
-    const int16_t writer = e.writer.load(std::memory_order_relaxed);
-    if (writer >= 0 && writer != self_slot) {
-      if (DoomMustWait(writer)) return writer;
-      e.writer.store(int16_t{-1}, std::memory_order_relaxed);  // Displace.
+  int ClearForeignOwners(Entry e, int* writer, int self_slot) {
+    if (*writer >= 0 && *writer != self_slot) {
+      if (DoomMustWait(*writer)) return *writer;
+      *writer = -1;  // Displace.
     }
-    const uint64_t readers = e.readers.load(std::memory_order_relaxed);
+    const uint64_t readers = e.readers().load(std::memory_order_relaxed);
     const uint64_t self_bit =
         self_slot >= 0 ? uint64_t{1} << self_slot : uint64_t{0};
     uint64_t keep = readers & self_bit;
     uint64_t foreign = readers & ~self_bit;
     while (foreign != 0) {
       const int slot = std::countr_zero(foreign);
-      if (DoomMustWait(static_cast<int16_t>(slot))) {
+      if (DoomMustWait(slot)) {
         if (self_slot < 0) return slot;
         keep |= uint64_t{1} << slot;
       }
       foreign &= foreign - 1;
     }
-    e.readers.store(keep, std::memory_order_relaxed);
+    e.readers().store(keep, std::memory_order_relaxed);
     return -1;
   }
 
@@ -247,10 +329,10 @@ class BasicEmulatedHtm {
   /// point: it released the line (committed or aborted) or began anew.
   /// The caller then re-locks the entry, which orders the slot's flush
   /// before anything the caller does next.
-  void WaitForDrain(LineEntry& e, int slot, Backoff& backoff) {
+  void WaitForDrain(Entry e, int slot, Backoff& backoff) {
     const uint64_t bit = uint64_t{1} << slot;
-    while ((e.writer.load(std::memory_order_acquire) == slot ||
-            (e.readers.load(std::memory_order_acquire) & bit) != 0) &&
+    while ((e.Writer(std::memory_order_acquire) == slot ||
+            (e.readers().load(std::memory_order_acquire) & bit) != 0) &&
            slots_[slot].progress.load(std::memory_order_seq_cst) ==
                TxSlot::kCommitting) {
       backoff.Pause();
@@ -258,8 +340,9 @@ class BasicEmulatedHtm {
   }
 
   HtmConfig config_;
-  uint64_t table_mask_;
-  std::vector<LineEntry> table_;
+  uint64_t num_buckets_;
+  uint64_t num_entries_;
+  Bucket* table_;
   TxSlot slots_[kMaxHtmThreads];
 };
 
@@ -469,18 +552,14 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
   void ReleaseAndReset() {
     for (uint32_t key_pos : rec_list_) {
       const Record& rec = rec_store_[rec_index_[key_pos]];
-      LineEntry& e = htm_.EntryFor(rec.line);
-      LockEntry(e);
-      if (rec.flags & kWriteFlag) {
-        int16_t expected = static_cast<int16_t>(slot_);
-        e.writer.compare_exchange_strong(expected, int16_t{-1},
-                                         std::memory_order_acq_rel);
-      }
+      const Entry e = htm_.EntryFor(rec.line);
+      int writer = LockEntry(e);
+      if ((rec.flags & kWriteFlag) && writer == slot_) writer = -1;
       if (rec.flags & kReadFlag) {
-        e.readers.fetch_and(~(uint64_t{1} << slot_),
-                            std::memory_order_relaxed);
+        e.readers().fetch_and(~(uint64_t{1} << slot_),
+                              std::memory_order_relaxed);
       }
-      UnlockEntry(e);
+      UnlockEntry(e, writer);
       rec_keys_[key_pos] = kEmptyKey;
       set_counts_[rec.line & (htm_.config_.num_sets - 1)] = 0;
     }
@@ -536,24 +615,20 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
     return rec_store_.back();
   }
 
-  void AcquireForRead(LineEntry& entry) {
+  void AcquireForRead(Entry entry) {
     Backoff backoff;
     uint32_t spins = 0;
     while (true) {
-      LockEntry(entry);
-      const int16_t writer = entry.writer.load(std::memory_order_relaxed);
-      if (writer < 0 || writer == slot_ ||
-          !htm_.DoomMustWait(writer)) {
-        if (writer >= 0 && writer != slot_) {
-          entry.writer.store(int16_t{-1}, std::memory_order_relaxed);
-        }
-        entry.readers.fetch_or(uint64_t{1} << slot_,
-                               std::memory_order_relaxed);
-        UnlockEntry(entry);
+      const int writer = LockEntry(entry);
+      if (writer < 0 || writer == slot_ || !htm_.DoomMustWait(writer)) {
+        entry.readers().fetch_or(uint64_t{1} << slot_,
+                                 std::memory_order_relaxed);
+        // A foreign writer doomed before its commit point is displaced.
+        UnlockEntry(entry, writer == slot_ ? writer : -1);
         return;
       }
-      UnlockEntry(entry);
-      while (entry.writer.load(std::memory_order_acquire) == writer) {
+      UnlockEntry(entry, writer);
+      while (entry.Writer(std::memory_order_acquire) == writer) {
         CheckDoom();
         if (++spins > htm_.config_.max_conflict_spins) {
           ThrowAbort(AbortStatus::Conflict());
@@ -563,20 +638,18 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
     }
   }
 
-  void AcquireForWrite(LineEntry& entry) {
+  void AcquireForWrite(Entry entry) {
     Backoff backoff;
     uint32_t spins = 0;
     while (true) {
-      LockEntry(entry);
-      const int writer = htm_.ClearForeignOwners(entry, slot_);
-      if (writer < 0) {
-        entry.writer.store(static_cast<int16_t>(slot_),
-                           std::memory_order_relaxed);
-        UnlockEntry(entry);
+      int writer = LockEntry(entry);
+      const int drain = htm_.ClearForeignOwners(entry, &writer, slot_);
+      if (drain < 0) {
+        UnlockEntry(entry, slot_);
         return;
       }
-      UnlockEntry(entry);
-      while (entry.writer.load(std::memory_order_acquire) == writer) {
+      UnlockEntry(entry, writer);
+      while (entry.Writer(std::memory_order_acquire) == drain) {
         CheckDoom();
         if (++spins > htm_.config_.max_conflict_spins) {
           ThrowAbort(AbortStatus::Conflict());

@@ -21,8 +21,11 @@ struct HtmConfig {
   uint32_t num_sets = 64;
   /// Associativity: distinct lines per set before a capacity abort.
   uint32_t num_ways = 8;
-  /// log2 of the conflict-detection line-table size. Collisions behave as
-  /// false sharing (spurious conflicts), just like real line granularity.
+  /// log2 of the minimum conflict-detection table entry count. Entries
+  /// are 9 bytes, packed 7 to a 64-byte bucket, so the default table is
+  /// ceil(2^20 / 7) buckets = 9.1 MiB, mapped lazily from zero pages.
+  /// Collisions behave as false sharing (spurious conflicts), just like
+  /// real line granularity.
   uint32_t table_bits = 20;
   /// Bound on conflict-path waiting (Backoff::Pause calls) before a
   /// transaction gives up and aborts itself instead of spinning.

@@ -35,6 +35,13 @@ namespace tufast {
 ///    exclusive locks, so aborts never need undo.
 ///
 /// User bodies take `auto& txn` so one generic lambda works across modes.
+///
+/// `txn.OnlyVertex(u)` (optional, like WalNote, so outside the
+/// TransactionContext concept) declares that every access in the rest of
+/// the body is to words guarded by vertex `u`. O mode cannot win such a
+/// transaction — its commit takes u's exclusive lock anyway, after paying
+/// for tracked reads, a read log and a re-validation — so OTxn routes it
+/// to L; H and L run it unchanged.
 
 template <typename Htm>
 class HTxn {
@@ -89,6 +96,10 @@ class HTxn {
   [[noreturn]] void Abort() {
     htx_.template ExplicitAbort<kAbortCodeUser>();
   }
+
+  /// One-vertex declaration: a hardware transaction pays per line, not
+  /// per vertex, so small groups keep running (and fusing) in H.
+  void OnlyVertex(VertexId /*u*/) {}
 
   uint64_t ops() const { return ops_; }
   void ResetOps() { ops_ = 0; }
@@ -205,6 +216,12 @@ class OTxn {
   [[noreturn]] void Abort() {
     if (htx_.InTx()) htx_.template ExplicitAbort<kAbortCodeUser>();
     throw UserAbortSignal{};
+  }
+
+  /// One-vertex declaration: leave O before any read. The router runs
+  /// the transaction in L instead (a route-out, not a failed attempt).
+  [[noreturn]] void OnlyVertex(VertexId /*u*/) {
+    htx_.template ExplicitAbort<kAbortCodeOnlyVertex>();
   }
 
   /// Validation + publication (runs after the last hardware segment
@@ -329,6 +346,7 @@ class LTxn {
 
   void Reset() {
     ops_ = 0;
+    only_ = kInvalidVertex;
     held_.clear();
     held_map_.Clear();
     writes_.clear();
@@ -341,6 +359,7 @@ class LTxn {
 
   TmWord Read(VertexId v, const TmWord* addr) {
     ++ops_;
+    CheckOnlyVertex(v);
     if (uint32_t* idx = write_map_.Find(reinterpret_cast<uintptr_t>(addr))) {
       return writes_[*idx].value;
     }
@@ -353,6 +372,7 @@ class LTxn {
   /// upgrade deadlock when the vertex will be written later.
   TmWord ReadForUpdate(VertexId v, const TmWord* addr) {
     ++ops_;
+    CheckOnlyVertex(v);
     if (uint32_t* idx = write_map_.Find(reinterpret_cast<uintptr_t>(addr))) {
       return writes_[*idx].value;
     }
@@ -362,6 +382,7 @@ class LTxn {
 
   void Write(VertexId v, TmWord* addr, TmWord value) {
     ++ops_;
+    CheckOnlyVertex(v);
     EnsureExclusive(v);
     bool inserted;
     uint32_t* idx = write_map_.FindOrInsert(
@@ -383,6 +404,10 @@ class LTxn {
   }
 
   [[noreturn]] void Abort() { throw UserAbortSignal{}; }
+
+  /// One-vertex declaration: nothing to change under locks; later ops
+  /// are checked against it.
+  void OnlyVertex(VertexId u) { only_ = u; }
 
   /// Strict 2PL commit: publish buffered writes (all their vertices are
   /// exclusively held), then release everything.
@@ -436,6 +461,10 @@ class LTxn {
     VertexId vertex;
   };
 
+  void CheckOnlyVertex(VertexId v) const {
+    TUFAST_DCHECK(only_ == kInvalidVertex || only_ == v);
+  }
+
   void EnsureAtLeastShared(VertexId v) {
     if (held_map_.Find(uintptr_t{v} + 1) != nullptr) return;
     if (!manager_.AcquireShared(slot_, v)) throw DeadlockVictimSignal{};
@@ -469,6 +498,7 @@ class LTxn {
   Mvcc* mvcc_ = nullptr;
   WalRecorder* wal_ = nullptr;
   uint64_t ops_ = 0;
+  VertexId only_ = kInvalidVertex;  // OnlyVertex declaration, if any.
   std::vector<Held> held_;
   AddrMap held_map_;
   std::vector<WriteEntry> writes_;

@@ -220,8 +220,11 @@ struct SchedulerStats {
 };
 
 /// Explicit-abort user codes shared between the modes and the router.
+/// kAbortCodeOnlyVertex is OTxn::OnlyVertex's route-out to L mode, not a
+/// failed attempt.
 inline constexpr uint8_t kAbortCodeUser = 1;
 inline constexpr uint8_t kAbortCodeLockBusy = 2;
+inline constexpr uint8_t kAbortCodeOnlyVertex = 3;
 
 /// Internal signal for a user-requested ABORT() outside hardware
 /// transactions (O validation phase, L mode). Caught by the router.

@@ -46,7 +46,8 @@ namespace tufast {
 /// capacity aborts; then O mode, halving `period` per failed attempt;
 /// when `period` sinks below min_period, L mode finishes the job under
 /// locks. `period` starts at the contention monitor's analytic optimum
-/// (§IV-D) unless adaptive_period is off.
+/// (§IV-D) unless adaptive_period is off. A body that declares
+/// txn.OnlyVertex(u) (tm/modes.h) skips O: it runs in L as class kL.
 ///
 /// Per-worker state (mode contexts, contention monitor, stats, RNG) and
 /// the `Telemetry` sink live in the shared WorkerRuntime; `Telemetry` is
@@ -980,6 +981,15 @@ class TuFastScheduler {
         }
         w.state.monitor.RecordAttempt(w.state.otxn.ops(), /*aborted=*/true);
       } else {
+        if (status.cause == AbortCause::kExplicit &&
+            status.user_code == kAbortCodeOnlyVertex) {
+          // The body declared a one-vertex transaction (OTxn::OnlyVertex):
+          // a route-out, not a failed attempt, so no abort counter, no
+          // monitor sample and no backoff or period halving.
+          return RunLockTxnLoop<Failpoints>(
+              w, w.state.ltxn, fn, TxnClass::kL,
+              MakeProgressContext(worker_id, txn_aborts));
+        }
         const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
         if (verdict == HtmAttemptVerdict::kUserAbort) {
           ++w.stats.user_aborts;

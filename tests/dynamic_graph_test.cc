@@ -215,17 +215,20 @@ TEST(DynamicGraphTest, DegreeSizeHintRoutesHubMutationsOutOfHMode) {
   SchedulerStats stats = tm.AggregatedStats();
   EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kH)], 1u);
 
-  ASSERT_TRUE(dyn->InsertEdge(tm, 0, 1, 5));  // Hub: demoted to O.
+  // Hub: out of H, and a one-vertex group leaves O for L before any read.
+  ASSERT_TRUE(dyn->InsertEdge(tm, 0, 1, 5));
   stats = tm.AggregatedStats();
   EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kH)], 1u);
   EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kO)] +
                 stats.class_count[static_cast<int>(TxnClass::kOPlus)] +
                 stats.class_count[static_cast<int>(TxnClass::kO2L)],
-            1u);
+            0u);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 1u);
+  EXPECT_EQ(stats.TotalFailedAttempts(), 0u);
 
   ASSERT_TRUE(dyn->InsertEdge(tm, 0, 2, 5));  // Super-hub: straight to L.
   stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 1u);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 2u);
 }
 
 TEST(DynamicGraphTest, ApplyBatchTalliesEveryOutcomeClass) {
@@ -443,19 +446,25 @@ TEST(GroupWalkTest, MatchesOneAtATimeOnDefaultTuFast) {
   ExpectGroupWalkMatchesOneAtATime(tm, 61);
 }
 
-TEST(GroupWalkTest, MatchesOneAtATimeInOAndLModes) {
-  TuFastInstrumented::Config config;
-  config.h_hint_threshold = 16;
-  config.o_hint_threshold = 64;
-  EmulatedHtm htm;
-  TuFastInstrumented tm(htm, kWalkVertices, config);
-  ExpectGroupWalkMatchesOneAtATime(tm, 62);
-  const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_GT(stats.class_count[static_cast<int>(TxnClass::kO)] +
-                stats.class_count[static_cast<int>(TxnClass::kOPlus)] +
-                stats.class_count[static_cast<int>(TxnClass::kO2L)],
-            0u);
-  EXPECT_GT(stats.class_count[static_cast<int>(TxnClass::kL)], 0u);
+TEST(GroupWalkTest, MatchesOneAtATimeWithHubGroupsInL) {
+  // o_hint_threshold 64 splits the hubs over the O and L hint bands; a
+  // huge one puts every group that leaves H in the O band. Either way
+  // the one-vertex groups run in L and none in O.
+  for (const uint64_t o_threshold : {uint64_t{64}, uint64_t{1} << 20}) {
+    SCOPED_TRACE("o_hint_threshold " + std::to_string(o_threshold));
+    TuFastInstrumented::Config config;
+    config.h_hint_threshold = 16;
+    config.o_hint_threshold = o_threshold;
+    EmulatedHtm htm;
+    TuFastInstrumented tm(htm, kWalkVertices, config);
+    ExpectGroupWalkMatchesOneAtATime(tm, 62);
+    const SchedulerStats stats = tm.AggregatedStats();
+    EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kO)] +
+                  stats.class_count[static_cast<int>(TxnClass::kOPlus)] +
+                  stats.class_count[static_cast<int>(TxnClass::kO2L)],
+              0u);
+    EXPECT_GT(stats.class_count[static_cast<int>(TxnClass::kL)], 0u);
+  }
 }
 
 TEST(GroupWalkTest, MatchesOneAtATimeOnTwoPhaseLocking) {

@@ -1,14 +1,19 @@
 // Deeper emulated-HTM semantics: cache-line granularity (false sharing),
 // word-level write buffering within lines, segment/write interactions,
-// and stats accounting — the properties the TuFast modes rely on beyond
-// the basics covered in htm_emulated_test.cc.
+// stats accounting and the conflict table's bucket layout — the
+// properties the TuFast modes rely on beyond the basics covered in
+// htm_emulated_test.cc.
 
+#include <sys/mman.h>
+
+#include <cerrno>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "htm/emulated_htm.h"
+#include "sync/lock_table.h"
 
 namespace tufast {
 namespace {
@@ -158,6 +163,118 @@ TEST(HtmSemantics, ManyShortTransactionsAcrossThreadsAreExact) {
   TmWord total = 0;
   for (const Cell& c : cells) total += c.value;
   EXPECT_EQ(total, static_cast<TmWord>(kThreads) * kEach);
+}
+
+TEST(HtmSemantics, BucketNeighboursDoNotConflict) {
+  // Two distinct lines whose entries share one bucket (one cache line of
+  // the table) but not one entry: a writer on one and a reader on the
+  // other must not doom each other, in either interleaving.
+  HtmConfig config;
+  config.table_bits = 12;
+  EmulatedHtm htm(config);
+  struct alignas(64) Line {
+    TmWord word[8] = {};
+  };
+  std::vector<Line> lines(1024);
+  size_t first = 0;
+  size_t second = 0;
+  for (size_t i = 0; i < lines.size() && second == 0; ++i) {
+    const uint64_t ei = htm.EntryIndexForTest(&lines[i]);
+    for (size_t j = i + 1; j < lines.size(); ++j) {
+      const uint64_t ej = htm.EntryIndexForTest(&lines[j]);
+      if (ei != ej && ei / EmulatedHtm::kEntriesPerBucket ==
+                          ej / EmulatedHtm::kEntriesPerBucket) {
+        first = i;
+        second = j;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(second, 0u) << "no two lines share a bucket";
+  TmWord* a = &lines[first].word[0];
+  TmWord* b = &lines[second].word[0];
+  b[0] = 5;
+
+  EmulatedHtm::Tx writer(htm, 0);
+  EmulatedHtm::Tx reader(htm, 1);
+  const AbortStatus w1 = writer.Execute([&] {
+    writer.Store(a, 7);
+    const AbortStatus r1 = reader.Execute([&] {
+      EXPECT_EQ(reader.Load(b), 5u);
+    });
+    EXPECT_TRUE(r1.ok());
+    writer.Store(a, 8);  // Still live: the neighbour's read doomed nothing.
+  });
+  EXPECT_TRUE(w1.ok());
+
+  const AbortStatus r2 = reader.Execute([&] {
+    (void)reader.Load(b);
+    const AbortStatus w2 = writer.Execute([&] { writer.Store(a, 9); });
+    EXPECT_TRUE(w2.ok());
+    EXPECT_EQ(reader.Load(b), 5u);  // Would throw if the commit doomed us.
+  });
+  EXPECT_TRUE(r2.ok());
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(a), 9u);
+}
+
+TEST(HtmSemantics, FreshTableIsEmptyAndWorksOnZeroPages) {
+  EmulatedHtm htm;
+  const uint64_t n = htm.NumEntries();
+  ASSERT_GE(n, uint64_t{1} << htm.config().table_bits);
+  auto expect_empty = [&](uint64_t i) {
+    const EmulatedHtm::EntryState e = htm.EntryStateForTest(i);
+    return !e.locked && e.writer == -1 && e.readers == 0;
+  };
+  uint64_t busy = 0;
+  for (uint64_t i = 0; i < n; ++i) busy += expect_empty(i) ? 0 : 1;
+  EXPECT_EQ(busy, 0u) << "a fresh table must read all-empty";
+
+  // A writer, a reader and a lock-word CAS on never-touched entries.
+  struct alignas(64) Line {
+    TmWord word[8] = {};
+  };
+  std::vector<Line> lines(2);
+  lines[1].word[0] = 5;
+  EmulatedHtm::Tx tx(htm, 0);
+  EXPECT_TRUE(tx.Execute([&] { tx.Store(&lines[0].word[0], 1); }).ok());
+  EXPECT_TRUE(tx.Execute([&] {
+    EXPECT_EQ(tx.Load(&lines[1].word[0]), 5u);
+  }).ok());
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&lines[0].word[0]), 1u);
+
+  LockTable<EmulatedHtm> locks(htm, 4);
+  // The CAS must still doom a transaction subscribed to the lock word.
+  const AbortStatus doomed = tx.Execute([&] {
+    (void)tx.Load(locks.WordAddr(3));
+    EXPECT_TRUE(locks.TryLockExclusive(3));
+    (void)tx.Load(&lines[1].word[0]);
+    ADD_FAILURE() << "lock-word CAS did not doom the subscriber";
+  });
+  EXPECT_EQ(doomed.cause, AbortCause::kConflict);
+  locks.UnlockExclusive(3);
+
+  for (const void* addr : {static_cast<const void*>(&lines[0]),
+                           static_cast<const void*>(&lines[1]),
+                           static_cast<const void*>(locks.WordAddr(3))}) {
+    EXPECT_TRUE(expect_empty(htm.EntryIndexForTest(addr)));
+  }
+}
+
+TEST(HtmSemantics, DefaultTableFitsItsBudgetAndIsUnmappedOnDestruction) {
+  const void* base = nullptr;
+  {
+    EmulatedHtm htm;
+    EXPECT_GE(htm.NumEntries(), uint64_t{1} << htm.config().table_bits);
+    EXPECT_LE(htm.TableBytes(), size_t{92} * 1024 * 1024 / 10);
+    base = htm.TableBaseForTest();
+    unsigned char resident = 0;
+    EXPECT_EQ(mincore(const_cast<void*>(base), 4096, &resident), 0);
+  }
+  // mincore fails with ENOMEM on an address range that is not mapped.
+  unsigned char resident = 0;
+  errno = 0;
+  EXPECT_EQ(mincore(const_cast<void*>(base), 4096, &resident), -1);
+  EXPECT_EQ(errno, ENOMEM);
 }
 
 }  // namespace

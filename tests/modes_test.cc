@@ -218,5 +218,37 @@ TEST_F(ModesTest, LModeReadForUpdateTakesExclusiveImmediately) {
   locks_.UnlockShared(4);
 }
 
+TEST_F(ModesTest, OModeOnlyVertexLeavesBeforeAnyRead) {
+  OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
+  txn.Reset(/*period=*/100);
+  const AbortStatus status = htx_.Execute([&] {
+    txn.OnlyVertex(3);
+    ADD_FAILURE() << "O mode must route a one-vertex body out";
+  });
+  EXPECT_EQ(status.cause, AbortCause::kExplicit);
+  EXPECT_EQ(status.user_code, kAbortCodeOnlyVertex);
+  EXPECT_EQ(txn.ops(), 0u);
+}
+
+TEST_F(ModesTest, HAndLModesRunOnlyVertexBodiesUnchanged) {
+  HTxn<EmulatedHtm> htxn(htx_, locks_);
+  const AbortStatus status = htx_.Execute([&] {
+    htxn.OnlyVertex(3);
+    htxn.Write(3, &data_[3], htxn.Read(3, &data_[3]) + 1);
+  });
+  EXPECT_TRUE(status.ok());
+
+  LTxn<EmulatedHtm> ltxn(htm_, 0, manager_);
+  ltxn.Reset();
+  ltxn.OnlyVertex(3);
+  ltxn.Write(3, &data_[3], ltxn.ReadForUpdate(3, &data_[3]) + 1);
+  ltxn.CommitApplyAndRelease();
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[3]), 2u);
+  // Reset forgets the declaration: a new transaction may touch any vertex.
+  ltxn.Reset();
+  (void)ltxn.Read(4, &data_[4]);
+  ltxn.ReleaseAll();
+}
+
 }  // namespace
 }  // namespace tufast

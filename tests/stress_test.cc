@@ -175,6 +175,28 @@ TEST(RouterDemotionTest, SkipHRoutesThroughOMode) {
             20u);
 }
 
+TEST(RouterDemotionTest, SkipHRoutesOnlyVertexBodiesToLockMode) {
+  FaultyHtm htm;
+  TuFastScheduler<FaultyHtm> tm(htm, 64);
+  std::vector<TmWord> data(64, 0);
+  FailpointPlan::Config config;
+  config.Arm(FailSite::kRouterSkipH, 1.0, FailAction::kFail);
+  FailpointPlan plan(config);
+  FailpointScope scope(plan);
+  for (int i = 0; i < 20; ++i) {
+    const RunOutcome out = tm.Run(0, 2, [&](auto& txn) {
+      txn.OnlyVertex(1);
+      txn.Write(1, &data[1], txn.Read(1, &data[1]) + 1);
+    });
+    ASSERT_TRUE(out.committed);
+    EXPECT_EQ(out.cls, TxnClass::kL);
+  }
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(FaultyHtm::NonTxLoad(&data[1]), 20u);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 20u);
+  EXPECT_EQ(stats.TotalFailedAttempts(), 0u);
+}
+
 TEST(RouterDemotionTest, SkipHAndORoutesToLockMode) {
   FaultyHtm htm;
   TuFastScheduler<FaultyHtm> tm(htm, 64);

@@ -56,6 +56,91 @@ TEST_F(TuFastTest, MediumHintRoutesToOMode) {
   EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[5]), 9u);
 }
 
+// One-vertex declarations (txn.OnlyVertex): O mode hands them to L.
+
+TEST_F(TuFastTest, OnlyVertexBodyInOBandCommitsInLWithoutAnAbort) {
+  ASSERT_TRUE(tm_.Run(0, 2, [&](auto& txn) {
+    txn.Write(9, &data_[9], 1);
+  }).committed);
+  const uint32_t period = tm_.MonitorForWorker(0)->CurrentPeriod();
+  const RunOutcome outcome =
+      tm_.Run(0, tm_.h_hint_threshold() + 1, [&](auto& txn) {
+        txn.OnlyVertex(5);
+        const TmWord v = txn.Read(5, &data_[5]);
+        txn.Write(5, &data_[5], v + 9);
+      });
+  EXPECT_TRUE(outcome.committed);
+  EXPECT_EQ(outcome.cls, TxnClass::kL);
+  EXPECT_EQ(outcome.aborts, 0u);
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[5]), 9u);
+  const SchedulerStats stats = tm_.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 1u);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kO)], 0u);
+  // The route-out is not a failed attempt.
+  EXPECT_EQ(stats.lock_busy_aborts, 0u);
+  EXPECT_EQ(stats.conflict_aborts, 0u);
+  EXPECT_EQ(stats.validation_aborts, 0u);
+  EXPECT_EQ(stats.backoff_events, 0u);
+  EXPECT_EQ(stats.TotalFailedAttempts(), 0u);
+  EXPECT_EQ(tm_.MonitorForWorker(0)->CurrentPeriod(), period);
+}
+
+TEST_F(TuFastTest, UndeclaredMultiVertexBodyInOBandStillCommitsInO) {
+  const RunOutcome outcome =
+      tm_.Run(0, tm_.h_hint_threshold() + 1, [&](auto& txn) {
+        const TmWord a = txn.Read(5, &data_[5]);
+        const TmWord b = txn.Read(6, &data_[6]);
+        txn.Write(5, &data_[5], a + 1);
+        txn.Write(6, &data_[6], b + 2);
+      });
+  EXPECT_TRUE(outcome.committed);
+  EXPECT_EQ(outcome.cls, TxnClass::kO);
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[6]), 2u);
+}
+
+TEST_F(TuFastTest, UserAbortAfterOnlyVertexIsFinal) {
+  for (const uint64_t hint :
+       {uint64_t{1}, tm_.h_hint_threshold() + 1,
+        tm_.config().o_hint_threshold + 1}) {
+    int invocations = 0;
+    const RunOutcome outcome = tm_.Run(0, hint, [&](auto& txn) {
+      txn.OnlyVertex(1);
+      ++invocations;
+      txn.Write(1, &data_[1], 99);
+      txn.Abort();
+    });
+    EXPECT_FALSE(outcome.committed);
+    EXPECT_EQ(invocations, 1) << "user abort must not be retried";
+    EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[1]), 0u);
+  }
+  const SchedulerStats stats = tm_.AggregatedStats();
+  EXPECT_EQ(stats.user_aborts, 3u);
+  EXPECT_EQ(stats.commits, 0u);
+}
+
+TEST_F(TuFastTest, OnlyVertexBodiesInHBandStillCommitInHAndFuse) {
+  const RunOutcome outcome = tm_.Run(0, 2, [&](auto& txn) {
+    txn.OnlyVertex(3);
+    txn.Write(3, &data_[3], txn.Read(3, &data_[3]) + 1);
+  });
+  EXPECT_TRUE(outcome.committed);
+  EXPECT_EQ(outcome.cls, TxnClass::kH);
+  tm_.RunBatch(
+      0, 0, 8, [](uint64_t) -> uint64_t { return 2; },
+      [&](auto& txn, uint64_t i) {
+        const auto v = static_cast<VertexId>(16 + i);
+        txn.OnlyVertex(v);
+        txn.Write(v, &data_[v], txn.Read(v, &data_[v]) + 1);
+      });
+  const SchedulerStats stats = tm_.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kH)], 9u);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 0u);
+  EXPECT_GT(stats.fused_items, 0u);
+  for (VertexId v = 16; v < 24; ++v) {
+    EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[v]), 1u);
+  }
+}
+
 TEST_F(TuFastTest, UserAbortIsFinalAndDiscardsWrites) {
   for (const uint64_t hint :
        {uint64_t{1}, tm_.h_hint_threshold() + 1,
